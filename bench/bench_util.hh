@@ -167,12 +167,11 @@ runAll(const std::vector<GridJob> &grid)
     if (todo.empty())
         return;
 
-    ParallelRunner pool(jobsFromEnv());
     // Bench grids vary the system configuration over a fixed workload
-    // set, so every cell shares one canonical pre-materialized stream
-    // per (workload, seed): generation is paid once per workload, not
-    // once per cell.
-    pool.enableSharedTraceCache();
+    // set, so the pool's plan shares one materialized stream per
+    // (workload, seed): generation is paid once per workload, not once
+    // per cell.
+    ParallelRunner pool(jobsFromEnv());
     for (const GridJob *g : todo)
         pool.submit(g->cfg, workloads::byName(g->workload), runConfig());
     pool.onProgress([&](const JobReport &rep) {

@@ -5,8 +5,8 @@
  * A CellSpec is one grid cell of an experiment sweep -- the complete,
  * self-describing recipe for one Runner::run call: system shape (L2
  * organization, core count, interconnect, NuRAPID knobs), workload
- * name, run budgets, sampling plan, observability options, and the
- * trace-stream mode. It deliberately carries *names and parameters*,
+ * name, run budgets, sampling plan, and observability options. It
+ * deliberately carries *names and parameters*,
  * never pointers or materialized streams: the canonical-trace
  * guarantee (trace/replay.hh) means a worker process rebuilds the
  * bit-identical stream from the spec alone, so cells serialize into a
@@ -44,36 +44,15 @@ namespace farm
 /** Bumped whenever a change anywhere in the simulator can alter
  *  results or checkpoint state for an unchanged CellSpec; stale cache
  *  entries then miss instead of serving bytes from an older binary. */
-constexpr std::uint32_t farm_format_version = 1;
+constexpr std::uint32_t farm_format_version = 2;
 
 /** Frame type discriminators of the farm protocol (obs/frame.hh). */
 enum FrameType : std::uint8_t
 {
     /** Coordinator -> worker: one serialized CellSpec to execute. */
     frame_job = 1,
-    /** Worker/server -> client: u64 cell key + serialized RunResult. */
+    /** Worker -> coordinator: u64 cell key + serialized RunResult. */
     frame_result = 2,
-    /** Client -> server: one serialized CellSpec to resolve. */
-    frame_request = 3,
-    /** Client -> server: report the ServeStats counters. */
-    frame_stats_req = 4,
-    /** Server -> client: u64 computed, served, dedup_hits. */
-    frame_stats = 5,
-    /** Client -> server: finish queued work, then exit. Echoed back
-     *  as the acknowledgment. */
-    frame_shutdown = 6,
-};
-
-/** How a cell's cores are fed (mirrors the RunConfig stream modes). */
-enum class CellTraceMode : std::uint8_t
-{
-    /** Per-cell live generation, timing-interleaved draw order. */
-    Live = 0,
-    /** Shared materialized RecordedTrace (positional cursor needed:
-     *  sampling hops, checkpoint save/load). */
-    Materialized = 1,
-    /** Canonical-live generation: replay-identical records, no codec. */
-    Canonical = 2,
 };
 
 /** One sweep grid cell; see the file comment. */
@@ -109,9 +88,6 @@ struct CellSpec
     std::uint8_t collect_stats_dump = 0;
     std::uint8_t collect_stats_csv = 0;
 
-    /** Stream mode (CellTraceMode). */
-    std::uint8_t trace_mode =
-        static_cast<std::uint8_t>(CellTraceMode::Canonical);
     /** Let the worker share warmed checkpoints through the cache. */
     std::uint8_t use_ckpt_cache = 1;
 

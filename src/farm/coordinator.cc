@@ -115,42 +115,8 @@ drainFd(int fd, std::string &buf)
     return true;
 }
 
-} // namespace
-
-std::string
-selfExePath()
-{
-    char buf[4096];
-    ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n <= 0)
-        fatal("farm: cannot resolve /proc/self/exe (%s); pass an "
-              "explicit worker executable",
-              std::strerror(errno));
-    buf[n] = '\0';
-    return std::string(buf);
-}
-
-long
-spawnProcess(const std::string &exe,
-             const std::vector<std::string> &args)
-{
-    pid_t pid = ::fork();
-    if (pid < 0)
-        fatal("farm: fork failed (%s)", std::strerror(errno));
-    if (pid == 0) {
-        std::vector<const char *> argv;
-        argv.push_back(exe.c_str());
-        for (const std::string &a : args)
-            argv.push_back(a.c_str());
-        argv.push_back(nullptr);
-        ::execv(exe.c_str(), const_cast<char *const *>(argv.data()));
-        std::fprintf(stderr, "farm: cannot exec '%s' (%s)\n",
-                     exe.c_str(), std::strerror(errno));
-        _exit(127);
-    }
-    return pid;
-}
-
+/** waitpid wrapper: block until @p pid exits; @return its exit code,
+ *  or 128+signal for a signal death. */
 int
 reapProcess(long pid)
 {
@@ -166,6 +132,21 @@ reapProcess(long pid)
     if (WIFSIGNALED(status))
         return 128 + WTERMSIG(status);
     return -1;
+}
+
+} // namespace
+
+std::string
+selfExePath()
+{
+    char buf[4096];
+    ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+    if (n <= 0)
+        fatal("farm: cannot resolve /proc/self/exe (%s); pass an "
+              "explicit worker executable",
+              std::strerror(errno));
+    buf[n] = '\0';
+    return std::string(buf);
 }
 
 std::vector<RunResult>

@@ -64,20 +64,6 @@ std::vector<RunResult> runFarm(const std::vector<CellSpec> &cells,
 /** Absolute path of the running executable (/proc/self/exe). */
 std::string selfExePath();
 
-/**
- * Spawn @p exe with @p args (argv[0] is derived from @p exe) with
- * stdin/stdout/stderr left inherited; for detached helpers like the
- * serve daemon in tests. @return the child pid; fatal on failure.
- */
-long spawnProcess(const std::string &exe,
-                  const std::vector<std::string> &args);
-
-/**
- * waitpid wrapper: block until @p pid exits; @return its exit code,
- * or 128+signal for a signal death.
- */
-int reapProcess(long pid);
-
 } // namespace farm
 } // namespace cnsim
 

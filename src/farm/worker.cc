@@ -2,12 +2,14 @@
 
 #include <cstdlib>
 #include <memory>
+#include <vector>
 
 #include <unistd.h>
 
 #include "common/logging.hh"
 #include "obs/frame.hh"
 #include "sample/checkpoint.hh"
+#include "sim/parallel_runner.hh"
 
 namespace cnsim
 {
@@ -50,35 +52,25 @@ maybeCrash(const CellSpec &spec)
 RunResult
 computeCell(const CellSpec &spec, const Cache &cache)
 {
-    ParallelJob job = buildJob(spec);
+    std::vector<ParallelJob> lone{buildJob(spec)};
+    RunConfig &rc = lone.front().run_cfg;
     // Warmed-state sharing through the checkpoint cache: resume when a
-    // valid blob exists, capture-and-publish when it does not. Live
-    // streams are excluded -- their timing-interleaved draw order has
-    // no positional cursor a checkpoint could honor.
+    // valid blob exists, capture-and-publish when it does not.
+    const bool share = cache.enabled() && spec.use_ckpt_cache != 0;
+    if (share)
+        rc.ckpt_blob_in = cache.loadCkpt(ckptKey(spec));
+    // Plan before attaching the capture buffer: a resumed cell hops its
+    // cursor past the whole warm-up, so it is served a materialized
+    // stream, while a capturing cell only records its cursor and keeps
+    // the inline regeneration any lone cell gets. Same records either
+    // way, so the cache never changes a result.
+    planStreams(lone);
     std::shared_ptr<std::string> fresh;
-    if (cache.enabled() && spec.use_ckpt_cache != 0 &&
-        static_cast<CellTraceMode>(spec.trace_mode) !=
-            CellTraceMode::Live) {
-        std::uint64_t ck = ckptKey(spec);
-        if (auto blob = cache.loadCkpt(ck)) {
-            job.run_cfg.ckpt_blob_in = blob;
-            // Resuming repositions the stream cursor past the whole
-            // warm-up, so follow ParallelRunner's policy and serve the
-            // stream materialized: flat-chunk replay reaches the
-            // cursor at raw generator speed and skips in O(1) per
-            // chunk, where canonical-live would regenerate every
-            // skipped record through its reorder FIFO. Same canonical
-            // records either way, so the restored state still matches.
-            if (job.run_cfg.canonical_live) {
-                job.run_cfg.canonical_live = false;
-                job.run_cfg.replay = Runner::acquireSharedTrace(
-                    job.workload, job.run_cfg);
-            }
-        } else {
-            fresh = std::make_shared<std::string>();
-            job.run_cfg.ckpt_blob_out = fresh;
-        }
+    if (share && !rc.ckpt_blob_in) {
+        fresh = std::make_shared<std::string>();
+        rc.ckpt_blob_out = fresh;
     }
+    const ParallelJob &job = lone.front();
     RunResult result =
         Runner::run(job.sys_cfg, job.workload, job.run_cfg);
     if (fresh && !fresh->empty())

@@ -37,11 +37,9 @@ namespace farm
 
 /**
  * Execute @p spec, sharing warmed checkpoints through @p cache (the
- * worker loop's core, also the serve-mode compute path). Probes the
- * checkpoint cache before warming and publishes the warmed state on a
- * miss; disabled for cells that opted out (use_ckpt_cache == 0) or
- * whose stream mode is Live (live streams are timing-interleaved and
- * have no positional cursor).
+ * worker loop's core). Probes the checkpoint cache before warming and
+ * publishes the warmed state on a miss; disabled for cells that opted
+ * out (use_ckpt_cache == 0).
  */
 RunResult computeCell(const CellSpec &spec, const Cache &cache);
 

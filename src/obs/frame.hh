@@ -2,9 +2,9 @@
  * @file
  * CNFRM01: length-prefixed, checksummed binary frames.
  *
- * The farm's coordinator/worker pipes and the serve-mode Unix socket
- * both carry discrete typed messages over a byte stream. This module
- * is the one framing implementation for all of them, in the CNBLG01
+ * The farm's coordinator/worker pipes carry discrete typed messages
+ * over a byte stream. This module is the one framing implementation
+ * for them, in the CNBLG01
  * spirit: explicit little-endian layout, full bounds validation, and
  * an FNV-1a checksum so a torn or corrupted frame is *detected* (and
  * reported to the caller) rather than decoded into garbage. The same

@@ -33,6 +33,32 @@ ParallelRunner::needsMaterializedTrace(const RunConfig &run_cfg)
            run_cfg.ckpt_blob_out != nullptr;
 }
 
+void
+planStreams(std::vector<ParallelJob> &jobs)
+{
+    auto unplanned = [](const ParallelJob &job) {
+        return !job.run_cfg.replay && !job.run_cfg.canonical_live;
+    };
+    auto streamKey = [](const ParallelJob &job) {
+        return RecordedTrace::hashParams(
+            Runner::effectiveSynthParams(job.workload, job.run_cfg));
+    };
+    std::map<std::uint64_t, unsigned> sharers;
+    for (const ParallelJob &job : jobs)
+        if (unplanned(job))
+            ++sharers[streamKey(job)];
+    for (ParallelJob &job : jobs) {
+        if (!unplanned(job))
+            continue;
+        if (ParallelRunner::needsMaterializedTrace(job.run_cfg) ||
+            sharers[streamKey(job)] >= ParallelRunner::min_stream_sharers)
+            job.run_cfg.replay =
+                Runner::acquireSharedTrace(job.workload, job.run_cfg);
+        else
+            job.run_cfg.canonical_live = true;
+    }
+}
+
 std::size_t
 ParallelRunner::submit(ParallelJob job)
 {
@@ -58,38 +84,11 @@ ParallelRunner::run()
     if (total == 0)
         return results;
 
-    // Resolve shared stream modes serially, in submission order,
-    // before any worker starts: trace acquisition order is then
-    // deterministic, and the batch holds the trace references for its
-    // whole lifetime (the cache keeps entries alive only while
-    // referenced). Streams shared by at least min_stream_sharers jobs
-    // are materialized once per (workload, seed) and read as flat
-    // chunks; below that the generator does not amortize, so the job
-    // falls back to live generation in canonical order. Jobs that
-    // reposition their stream materialize regardless.
-    if (shared_trace_cache) {
-        std::map<std::uint64_t, unsigned> sharers;
-        for (const ParallelJob &job : batch) {
-            if (job.run_cfg.replay || job.run_cfg.canonical_live)
-                continue;
-            ++sharers[RecordedTrace::hashParams(
-                Runner::effectiveSynthParams(job.workload, job.run_cfg))];
-        }
-        for (ParallelJob &job : batch) {
-            if (job.run_cfg.replay || job.run_cfg.canonical_live)
-                continue;
-            SynthWorkloadParams params =
-                Runner::effectiveSynthParams(job.workload, job.run_cfg);
-            if (needsMaterializedTrace(job.run_cfg) ||
-                sharers[RecordedTrace::hashParams(params)] >=
-                    min_stream_sharers) {
-                job.run_cfg.replay =
-                    Runner::acquireSharedTrace(job.workload, job.run_cfg);
-            } else {
-                job.run_cfg.canonical_live = true;
-            }
-        }
-    }
+    // Plan serially, in submission order, before any worker starts:
+    // trace acquisition order is then deterministic, and the batch
+    // holds the trace references for its whole lifetime (the cache
+    // keeps entries alive only while referenced).
+    planStreams(batch);
 
     // Workers claim jobs by atomic index and write results into the
     // submission-order slot; no result ever depends on which worker or

@@ -1,7 +1,8 @@
 /**
  * @file
  * Parallel experiment execution: fans independent Runner::run jobs out
- * over a fixed-size thread pool.
+ * over a fixed-size thread pool, and plans how every job's reference
+ * stream is delivered.
  *
  * Every paper figure is a grid of independent simulations over
  * (L2 organization x workload x seed); a full sweep is embarrassingly
@@ -12,11 +13,19 @@
  * regardless of worker count or completion order, and they are always
  * returned in submission order.
  *
+ * Every job sees the canonical round-robin stream of its (workload,
+ * seed) (trace/replay.hh), whether it runs alone, in a grid, on any
+ * worker count, or in a farm worker process. planStreams() only picks
+ * how that stream is delivered -- regenerated inline or materialized
+ * once and shared -- which is a cost choice that never changes a
+ * result.
+ *
  * Thread-safety contract: a job must not touch process-global mutable
- * state. The simulator's only global is the logging quiet flag /
- * stderr stream, which common/logging.cc makes thread-safe; System,
- * SynthWorkload, EventQueue, Rng, and StatGroup are all per-job
- * instances.
+ * state. The simulator's only globals are the logging quiet flag /
+ * stderr stream, which common/logging.cc makes thread-safe, and the
+ * TraceCache, which planStreams() consults serially before any worker
+ * starts; System, CanonicalWorkload, EventQueue, Rng, and StatGroup
+ * are all per-job instances.
  */
 
 #ifndef CNSIM_SIM_PARALLEL_RUNNER_HH
@@ -91,46 +100,30 @@ class ParallelRunner
     void onProgress(ProgressFn fn) { progress = std::move(fn); }
 
     /**
-     * Drive every job of the batch from one identical canonical
-     * stream per (workload, seed): run() assigns every job lacking an
-     * explicit stream mode either a materialized trace from
-     * TraceCache::global() keyed by the job's effective synthetic
-     * params (trace/replay.hh) or, below the sharing threshold,
-     * canonical-live generation (RunConfig::canonical_live). Both
-     * modes emit positionally identical records, so results are
-     * byte-identical to each other and for any worker count; they
-     * differ from plain live-mode results because the canonical
-     * generation order replaces the timing-dependent one.
+     * No-op kept for existing callers: run() now plans every batch
+     * through planStreams(), so stream sharing is always on.
      */
-    void
-    enableSharedTraceCache(bool on = true)
-    {
-        shared_trace_cache = on;
-    }
+    // cnlint: allow(CNL-T002 cnbench/workload.cc still calls it)
+    void enableSharedTraceCache(bool = true) {}
 
     /**
-     * Fewest batch jobs sharing one synthetic stream for which run()
-     * materializes that stream instead of falling back to live
-     * (canonical-order) generation. Materializing pays the generator
-     * once plus one flat-chunk read per sharer; live generation pays
-     * the generator per sharer. With the generator at ~2.7% of a
-     * cell's runtime (BENCH_perf.json `generator_share`) and the flat
-     * read at ~0.7%, materializing wins whenever
-     * N * generator_share > generator_share + N * read_share, i.e.
-     * from two sharers up; a lone cell's generator share is below
-     * that break-even, so it falls back to live generation and the
-     * default path never loses to live mode.
+     * Fewest jobs sharing one stream for which planStreams()
+     * materializes it instead of regenerating it inline per job.
+     * Materializing pays the generator once plus one flat-chunk read
+     * per sharer; inline regeneration (CanonicalWorkload) pays the
+     * generator and its reorder FIFO once per sharer. From two
+     * sharers up materializing wins (perf_gate's sweep scenario
+     * prices both at seven sharers, floored at 1.0 by perfcmp); a
+     * lone job does not amortize the materialization, so it
+     * regenerates.
      */
     static constexpr unsigned min_stream_sharers = 2;
 
     /**
      * True when @p run_cfg repositions its trace stream -- sampling's
      * O(1) chunk hops, checkpoint save/load (file or in-memory blob)
-     * -- and therefore needs a materialized RecordedTrace regardless
-     * of how many jobs share it; canonical-live generation covers
-     * every other cell below the sharing threshold. The policy behind
-     * enableSharedTraceCache's mode choice, shared with the CLI and
-     * the farm worker.
+     * -- and is therefore served a materialized RecordedTrace however
+     * few jobs share it. Part of planStreams()'s policy.
      */
     static bool needsMaterializedTrace(const RunConfig &run_cfg);
 
@@ -159,8 +152,22 @@ class ParallelRunner
     unsigned num_workers;
     std::vector<ParallelJob> jobs;
     ProgressFn progress;
-    bool shared_trace_cache = false;
 };
+
+/**
+ * Choose each job's stream delivery. Jobs that already name a stream
+ * (RunConfig::replay or canonical_live) are left alone. Every other
+ * job gets the shared materialized trace of its (workload, seed) from
+ * TraceCache::global() when it needsMaterializedTrace() or when at
+ * least ParallelRunner::min_stream_sharers jobs of @p jobs share that
+ * stream, and canonical-live generation otherwise. Both deliveries
+ * emit the same records, so the plan never changes a result.
+ *
+ * ParallelRunner::run() plans each batch, and Runner::run() plans a
+ * lone job that names no stream; the caller keeps the acquired traces
+ * alive for as long as it holds the jobs.
+ */
+void planStreams(std::vector<ParallelJob> &jobs);
 
 } // namespace cnsim
 

@@ -21,12 +21,10 @@ namespace cnsim
 namespace
 {
 
-/** Round-robin slice (instructions per core) for functional warming
- * and decode-only skipping. Small enough that live-generated streams
- * keep their cross-thread sharing structure (the synthetic workloads'
- * recently-read/recently-written registries hold only ~100 entries)
- * and that no core's warm touches evict another's before it catches
- * up. */
+/** Round-robin slice (instructions per core) for functional warming.
+ * Small enough to approximate the detailed interleaving of the cores'
+ * references, so that no core's warm touches evict another's before
+ * it catches up. */
 constexpr std::uint64_t warm_slice = 8'192;
 
 /** Resolved per-window instruction budget of a sampled run. */
@@ -79,9 +77,6 @@ Runner::runVariability(const SystemConfig &sys_cfg,
     auto seeded = [&](int i) {
         RunConfig rc = run_cfg;
         rc.seed = run_cfg.seed + static_cast<std::uint64_t>(i) * 9973;
-        if (!rc.replay)
-            rc.replay = TraceCache::global().acquire(
-                effectiveSynthParams(workload, rc));
         return rc;
     };
 
@@ -234,13 +229,20 @@ Runner::validate(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
 namespace
 {
 
+/** Provenance of the stream a run consumes (checkpoint trace fields). */
+struct StreamId
+{
+    std::uint64_t params_hash = 0;
+    std::uint64_t seed = 0;
+};
+
 /** Snapshot the post-warm-up machine into a Checkpoint (stats are not
  * serialized: both the saving and the resuming run reset statistics at
  * this same boundary, so the measurement epochs are identical). */
 sample::Checkpoint
 makeCheckpoint(const System &system, const EventQueue &eq,
                const std::vector<std::unique_ptr<Core>> &cores,
-               const WorkloadSpec &workload, const RunConfig &run_cfg)
+               const StreamId &stream, const RunConfig &run_cfg)
 {
     const SystemConfig &sc = system.config();
     sample::Checkpoint ck;
@@ -249,15 +251,8 @@ makeCheckpoint(const System &system, const EventQueue &eq,
     ck.interconnect = static_cast<std::uint32_t>(sc.interconnect);
     ck.tick = eq.now();
     ck.events_executed = eq.executed();
-    if (run_cfg.replay) {
-        ck.trace_params_hash = run_cfg.replay->paramsHash();
-        ck.trace_seed = run_cfg.replay->seed();
-    } else {
-        SynthWorkloadParams wp =
-            Runner::effectiveSynthParams(workload, run_cfg);
-        ck.trace_params_hash = RecordedTrace::hashParams(wp);
-        ck.trace_seed = wp.seed;
-    }
+    ck.trace_params_hash = stream.params_hash;
+    ck.trace_seed = stream.seed;
     ck.warmup_instructions = run_cfg.warmup_instructions;
     for (const auto &core : cores) {
         sample::CoreState cs;
@@ -281,6 +276,13 @@ RunResult
 Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
             const RunConfig &run_cfg)
 {
+    // A lone job that names no stream gets the same plan a grid cell
+    // would, so its result never depends on how it was launched.
+    if (!run_cfg.replay && !run_cfg.canonical_live) {
+        std::vector<ParallelJob> lone{{sys_cfg, workload, run_cfg}};
+        planStreams(lone);
+        return run(sys_cfg, workload, lone.front().run_cfg);
+    }
     validate(sys_cfg, workload, run_cfg);
 
     // A trace-out path implies event recording for this run; a
@@ -292,27 +294,22 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
         sc.obs.binlog_out = run_cfg.binlog_out;
 
     System system(sc);
-    // Replay runs pull records from the shared pre-materialized trace;
-    // canonical-live runs generate the same stream codec-free; plain
-    // live runs own a fresh generative workload. Either way each core
-    // gets its own TraceSource.
-    std::unique_ptr<SynthWorkload> synth;
+    // Every core reads the canonical stream, from the shared
+    // materialized trace or regenerated inline (trace/replay.hh).
     std::unique_ptr<CanonicalWorkload> canon;
     std::vector<std::unique_ptr<ReplaySource>> replays;
+    StreamId stream;
     if (run_cfg.replay) {
         for (int c = 0; c < sc.num_cores; ++c)
             replays.emplace_back(std::make_unique<ReplaySource>(
                 *run_cfg.replay, c));
-    } else if (run_cfg.canonical_live) {
-        canon = std::make_unique<CanonicalWorkload>(
-            effectiveSynthParams(workload, run_cfg));
+        stream = {run_cfg.replay->paramsHash(), run_cfg.replay->seed()};
     } else {
-        synth = std::make_unique<SynthWorkload>(
-            effectiveSynthParams(workload, run_cfg));
+        SynthWorkloadParams wp = effectiveSynthParams(workload, run_cfg);
+        canon = std::make_unique<CanonicalWorkload>(wp);
+        stream = {RecordedTrace::hashParams(wp), wp.seed};
     }
     auto source = [&](int c) -> TraceSource & {
-        if (synth)
-            return synth->source(c);
         if (canon)
             return canon->source(c);
         return *replays[static_cast<std::size_t>(c)];
@@ -356,18 +353,13 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
     }
 
     if (resume_ck) {
-        std::uint64_t run_hash =
-            run_cfg.replay
-                ? run_cfg.replay->paramsHash()
-                : RecordedTrace::hashParams(
-                      effectiveSynthParams(workload, run_cfg));
         // File checkpoints are config-strict including trace
         // provenance; the in-memory variability path relaxes the trace
         // hash because each seed replays its own canonical stream.
         resume_ck->validateConfig(
             static_cast<std::uint32_t>(sc.num_cores),
             static_cast<std::uint32_t>(sc.l2_kind),
-            static_cast<std::uint32_t>(sc.interconnect), run_hash,
+            static_cast<std::uint32_t>(sc.interconnect), stream.params_hash,
             /*check_trace=*/!run_cfg.ckpt_load.empty(), resume_what);
         eq.resumeAt(resume_ck->tick, resume_ck->events_executed);
         for (std::size_t c = 0; c < cores.size(); ++c)
@@ -390,11 +382,10 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
         rd.expectExhausted();
     } else if (sampled) {
         // Functional warm-up: cores apply their references in
-        // round-robin slices (approximating the detailed interleaving;
-        // the slice must stay small because live-synth cross-thread
-        // sharing registries are tiny) with every resource granting
-        // immediately -- caches, coherence and replication state get
-        // warm, the clock stays at zero.
+        // round-robin slices (approximating the detailed interleaving)
+        // with every resource granting immediately -- caches,
+        // coherence and replication state get warm, the clock stays at
+        // zero.
         std::uint64_t warmed = 0;
         while (warmed < run_cfg.warmup_instructions) {
             std::uint64_t slice = std::min(
@@ -421,7 +412,7 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
     // measures a bit-identical epoch.
     if (!run_cfg.ckpt_save.empty() || run_cfg.ckpt_blob_out) {
         sample::Checkpoint ck =
-            makeCheckpoint(system, eq, cores, workload, run_cfg);
+            makeCheckpoint(system, eq, cores, stream, run_cfg);
         if (!run_cfg.ckpt_save.empty())
             ck.saveFile(run_cfg.ckpt_save);
         if (run_cfg.ckpt_blob_out)
@@ -486,20 +477,11 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
             }
         };
         for (unsigned w = 0; w < run_cfg.sample_windows; ++w) {
-            if (run_cfg.replay) {
-                // Replayed streams are fully materialized per core, so
-                // the decode-skip needs no cross-core interleaving: one
-                // positional hop per core lets ReplaySource discard
-                // whole chunks without decoding them. Live generation
-                // must stay sliced so the synthetic threads' shared
-                // recency registries advance in lockstep.
-                for (auto &core : cores)
-                    core->skipAdvance(gap);
-            } else {
-                interleaved(gap, [](Core &c, std::uint64_t n) {
-                    c.skipAdvance(n);
-                });
-            }
+            // Every core's stream is positional, so the decode-skip
+            // needs no cross-core interleaving: one hop per core lets
+            // ReplaySource discard whole chunks without decoding them.
+            for (auto &core : cores)
+                core->skipAdvance(gap);
             interleaved(b.warm, [&](Core &c, std::uint64_t n) {
                 c.warmAdvance(n, eq.now());
             });

@@ -52,21 +52,21 @@ struct RunConfig
      *  Setting this implies SystemConfig::obs.binlog_out. */
     std::string binlog_out;
     /**
-     * Drive the cores from this pre-materialized trace instead of live
-     * generation (trace/replay.hh). The trace's core count must match
-     * the system's; the workload's synthetic params are bypassed. Grid
-     * drivers (ParallelRunner's shared trace cache, the CLI, benches)
-     * set this so every cell replays one identical stream.
+     * Drive the cores from this materialized trace (trace/replay.hh).
+     * The trace's core count must match the system's; the workload's
+     * synthetic params are bypassed. planStreams() (sim/
+     * parallel_runner.hh) attaches the shared trace of the run's
+     * (workload, seed) when materializing pays; --trace-replay
+     * attaches a captured file.
      */
     std::shared_ptr<RecordedTrace> replay;
 
     /**
-     * Drive the cores from a CanonicalWorkload: live generation in the
-     * canonical round-robin draw order, producing records positionally
-     * identical to a materialized replay of the same effective params
-     * at zero codec cost (trace/replay.hh). Grid drivers prefer this
-     * over `replay` for cells that never reposition the stream;
-     * mutually exclusive with `replay`.
+     * Drive the cores from a CanonicalWorkload: the canonical
+     * round-robin stream regenerated inline, positionally identical
+     * to a materialized replay of the same effective params at zero
+     * codec cost (trace/replay.hh). Mutually exclusive with `replay`;
+     * a run that sets neither is planned by planStreams().
      */
     bool canonical_live = false;
 
@@ -87,10 +87,12 @@ struct RunConfig
     std::uint64_t sample_warmup = 0;
 
     /** Save the post-warm-up machine state here as a CNCKPT01
-     *  checkpoint ("" = none; requires replay mode). */
+     *  checkpoint ("" = none; needs a materialized stream, which
+     *  planStreams attaches). */
     std::string ckpt_save;
     /** Resume from this CNCKPT01 checkpoint instead of warming up
-     *  ("" = none; requires replay mode, strict trace-hash match). */
+     *  ("" = none; needs a materialized stream, strict trace-hash
+     *  match). */
     std::string ckpt_load;
     /**
      * In-memory checkpoint to resume from (runVariability's warm
@@ -184,7 +186,11 @@ struct VariabilityResult
 class Runner
 {
   public:
-    /** Execute @p workload on @p sys_cfg under @p run_cfg. */
+    /**
+     * Execute @p workload on @p sys_cfg under @p run_cfg. A run that
+     * names no stream is planned like a one-job batch (planStreams),
+     * so the result is the same as the cell's result in any grid.
+     */
     static RunResult run(const SystemConfig &sys_cfg,
                          const WorkloadSpec &workload,
                          const RunConfig &run_cfg = RunConfig{});
@@ -256,10 +262,9 @@ class Runner
     /**
      * The process-wide materialized canonical stream for this
      * (workload, run) pair, acquired from TraceCache under the
-     * effectiveSynthParams key. Callers outside the trace layer (the
-     * farm worker upgrading a checkpoint-resumed cell to flat-chunk
-     * replay) use this instead of touching TraceCache directly, so
-     * the sharing key stays in one place.
+     * effectiveSynthParams key. Callers outside the trace layer
+     * (planStreams) use this instead of touching TraceCache directly,
+     * so the sharing key stays in one place.
      */
     static std::shared_ptr<RecordedTrace>
     acquireSharedTrace(const WorkloadSpec &workload,

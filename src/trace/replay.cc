@@ -381,8 +381,8 @@ ReplaySource::advanceTo(std::size_t idx)
 {
     const RecordedTrace::Chunk *c = trace.chunk(core, idx);
     if (!c) {
-        // Frozen trace ran dry: wrap to the top, like the legacy
-        // FileTraceSource (sources never run dry by contract).
+        // Frozen trace ran dry: wrap to the top (sources never run
+        // dry by contract).
         if (n_wraps++ == 0)
             warnOnce(strfmt("replay-wrap-core-%d", core),
                      "trace replay wrapped on core %d; consider a "
@@ -548,7 +548,7 @@ CanonicalWorkload::drawRound()
 {
     // Must match RecordedTrace::grow() exactly: this fixed interleaving
     // -- not the simulated timing -- is what makes the stream identical
-    // across organizations, --jobs values, and replay modes.
+    // across organizations, grids, --jobs values, and deliveries.
     for (int c = 0; c < num_cores; ++c)
         sources[static_cast<std::size_t>(c)]->buf.push_back(
             synth.source(c).next());

@@ -17,23 +17,23 @@
  * packed read path (bench/perf_gate's sweep scenario) measured the
  * per-record varint decode costing as much as generation itself
  * (~25 ns each on the baseline host), which capped a replay-backed
- * sweep at parity with a live one. A flat TraceRecord array trades
- * ~3x the trace memory (24 B/record vs ~8 B packed, a few MB for the
- * paper budgets) for a decode-free hot path that the hardware
- * prefetcher streams. The varint codec below survives only at the
- * file boundary: CNTRF001 payloads are packed on save and decoded
- * (with validation) once on load.
+ * sweep at parity with regenerating the stream per cell. A flat
+ * TraceRecord array trades ~3x the trace memory (24 B/record vs ~8 B
+ * packed, a few MB for the paper budgets) for a decode-free hot path
+ * that the hardware prefetcher streams. The varint codec below
+ * survives only at the file boundary: CNTRF001 payloads are packed on
+ * save and decoded (with validation) once on load.
  *
  * Canonical generation order. The synthetic model keeps cross-thread
  * state (the ROS/RWS recently-used registries), so per-core streams
- * depend on the order in which cores draw records. In live mode that
- * order is the simulated interleaving -- which depends on the L2
- * organization's timing, meaning live streams are *not* comparable
- * across organizations. A RecordedTrace instead draws records
- * round-robin (core 0..N-1, repeat), a fixed interleaving independent
- * of any simulator timing. This is the defining semantics of replay
- * mode: one stream, identical for every organization, every --jobs
- * value, and every host.
+ * depend on the order in which cores draw records. If that order were
+ * the simulated interleaving, it would depend on the L2
+ * organization's timing and streams would not be comparable across
+ * organizations. Every run instead draws records round-robin (core
+ * 0..N-1, repeat), a fixed interleaving independent of any simulator
+ * timing: one stream, identical for every organization, every grid,
+ * every --jobs value, and every host. A RecordedTrace materializes
+ * that stream; a CanonicalWorkload regenerates it inline.
  *
  * Record encoding (the payload CNTRF001 files transport, ~8 B/record
  * for the paper workloads vs 21 B flat):
@@ -111,8 +111,7 @@ class PackedStreamReader
  *    on demand (canonical round-robin order), so consumers never run
  *    dry and a cold cache costs exactly one generation pass;
  *  - frozen: loaded from a CNTRF001 file (or fixed record vectors);
- *    consumers wrap to the start when they exhaust it, like the legacy
- *    FileTraceSource.
+ *    consumers wrap to the start when they exhaust it.
  */
 class RecordedTrace
 {
@@ -275,29 +274,23 @@ class ReplaySource final : public TraceSource
 };
 
 /**
- * Canonical-order live generation: the replay *stream* without the
- * replay *codec*.
+ * Canonical-order inline generation: the replay *stream* without the
+ * materialized *trace*.
  *
- * Profiling the packed-chunk read path (bench/perf_gate's sweep
- * scenario) showed the varint encode+decode round trip costing more
- * than generation itself on hosts where the generative model is cheap
- * relative to simulation (BENCH_perf.json `generator_share` ~0.18:
- * decode ~5.7 ms/cell vs generation ~4.3 ms/cell on the baseline
- * host), which is how replay-backed sweeps ended up *slower* than
- * live ones (`sweep.speedup` 0.945). What defines replay semantics is
- * not the materialized bytes but the canonical draw order; this class
- * reproduces exactly that order -- one record per core, core 0..N-1,
- * repeat, identical to RecordedTrace::grow() -- straight out of a
- * SynthWorkload, with per-core FIFO buffers absorbing the skew
- * between the fixed generation order and the timing-dependent
- * consumption order. Every record equals the materialized trace's
- * record at the same position, so results are byte-identical to
- * replay mode at zero codec cost.
+ * What defines the stream is the canonical draw order, not
+ * materialized bytes; this class reproduces exactly that order -- one
+ * record per core, core 0..N-1, repeat, identical to
+ * RecordedTrace::grow() -- straight out of a SynthWorkload, with
+ * per-core FIFO buffers absorbing the skew between the fixed
+ * generation order and the timing-dependent consumption order. Every
+ * record equals the materialized trace's record at the same position,
+ * so results are byte-identical to replay at no materialization cost,
+ * which is the cheaper delivery for a stream only one run consumes.
  *
- * Materialize a RecordedTrace instead when a *positional cursor* is
- * needed (checkpoint save/load, sampling's O(1) chunk hops, trace
- * capture); ParallelRunner::needsMaterializedTrace encodes that
- * policy.
+ * A materialized RecordedTrace is the cheaper delivery when several
+ * runs share a stream or a run repositions its cursor (checkpoint
+ * save/load, sampling's O(1) chunk hops); planStreams() in
+ * sim/parallel_runner.hh encodes that policy.
  *
  * Not thread-safe: one instance drives one run, like SynthWorkload.
  */

@@ -5,11 +5,12 @@
  * result/checkpoint cache, the canonical-live stream's equivalence to
  * a materialized replay, the multi-process coordinator (including the
  * crash-requeue contract, driven by CNSIM_FARM_TEST_CRASH_CELL), and
- * the serve daemon's request dedup.
+ * grid independence: a cell's result is the same solo, in a thread
+ * pool, and in the farm.
  *
  * Process-spawning tests execute the real cnsim CLI (CNSIM_CLI_BIN)
- * as the worker/server binary, so they exercise exactly the bytes a
- * user's `--farm-jobs` sweep runs.
+ * as the worker binary, so they exercise exactly the bytes a user's
+ * `--farm-jobs` sweep runs.
  */
 
 #include <cstdint>
@@ -27,9 +28,9 @@
 #include "farm/cache.hh"
 #include "farm/cell.hh"
 #include "farm/coordinator.hh"
-#include "farm/serve.hh"
 #include "farm/worker.hh"
 #include "obs/frame.hh"
+#include "sim/parallel_runner.hh"
 #include "sim/runner.hh"
 #include "trace/replay.hh"
 #include "trace/workloads.hh"
@@ -216,7 +217,6 @@ TEST(FarmCell, SerializeRoundTripPreservesEveryField)
     s.sample_warmup = 2'000;
     s.collect_stats_dump = 1;
     s.collect_stats_csv = 1;
-    s.trace_mode = static_cast<std::uint8_t>(farm::CellTraceMode::Live);
     s.use_ckpt_cache = 0;
     s.attempt = 1;
 
@@ -397,18 +397,14 @@ TEST(CanonicalWorkload, MatchesMaterializedReplayRecordForRecord)
 
 TEST(CanonicalWorkload, RunnerResultsMatchMaterializedReplay)
 {
-    farm::CellSpec spec = quickSpec(L2Kind::Nurapid);
-
-    ParallelJob canon = farm::buildJob(spec);  // default Canonical
-    ASSERT_TRUE(canon.run_cfg.canonical_live);
+    ParallelJob canon = farm::buildJob(quickSpec(L2Kind::Nurapid));
+    ParallelJob replay = canon;
+    canon.run_cfg.canonical_live = true;
     RunResult a =
         Runner::run(canon.sys_cfg, canon.workload, canon.run_cfg);
 
-    farm::CellSpec mat = spec;
-    mat.trace_mode =
-        static_cast<std::uint8_t>(farm::CellTraceMode::Materialized);
-    ParallelJob replay = farm::buildJob(mat);
-    ASSERT_NE(replay.run_cfg.replay, nullptr);
+    replay.run_cfg.replay =
+        Runner::acquireSharedTrace(replay.workload, replay.run_cfg);
     RunResult b =
         Runner::run(replay.sys_cfg, replay.workload, replay.run_cfg);
 
@@ -470,53 +466,38 @@ TEST(FarmDeathTest, SecondCrashFailsTheSweepWithCellKeyAndStderr)
 }
 
 // ---------------------------------------------------------------------
-// Serve mode
+// Grid independence
 // ---------------------------------------------------------------------
 
-TEST(FarmServe, DedupsIdenticalRequestsAndComputesEachCellOnce)
+TEST(GridIndependence, EveryCellMatchesItsSoloRunInPoolsAndFarms)
 {
-    std::string sock = "/tmp/cnsim_serve_test." +
-                       std::to_string(static_cast<long>(::getpid())) +
-                       ".sock";
-    std::string dir = uniqueDir("farm_serve");
-    long pid = farm::spawnProcess(
-        CNSIM_CLI_BIN, {"serve", "--socket", sock, "--cache-dir", dir});
+    // A cell's result depends only on (config, workload, seed): not on
+    // the grid around it, the worker count, or the process it runs in.
+    // The in-process jobs come straight from the public API and name
+    // no stream, exactly like a user's own Runner::run call.
+    const auto cells = quickGrid();
+    std::vector<ParallelJob> jobs;
+    for (const farm::CellSpec &spec : cells) {
+        RunConfig rc;
+        rc.warmup_instructions = spec.warmup;
+        rc.measure_instructions = spec.measure;
+        jobs.push_back(ParallelJob{
+            Runner::paperConfig(static_cast<L2Kind>(spec.l2_kind),
+                                static_cast<int>(spec.cores),
+                                InterconnectKind::Bus),
+            workloads::byName(spec.workload,
+                              static_cast<int>(spec.cores)),
+            rc});
+    }
 
-    farm::CellSpec a = quickSpec(L2Kind::Nurapid);
-    farm::CellSpec b = quickSpec(L2Kind::Shared);
-
-    // Two identical requests in flight plus one distinct: the daemon
-    // must compute two cells and answer three requests -- the second
-    // identical request rides the first's computation (dedup) or its
-    // cached result, never a recompute.
-    int fd1 = farm::openRequest(sock, a);
-    int fd2 = farm::openRequest(sock, a);
-    int fd3 = farm::openRequest(sock, b);
-    RunResult r1, r2, r3;
-    ASSERT_TRUE(farm::finishRequest(fd1, r1));
-    ASSERT_TRUE(farm::finishRequest(fd2, r2));
-    ASSERT_TRUE(farm::finishRequest(fd3, r3));
-
-    EXPECT_EQ(farm::serializeResult(r1), farm::serializeResult(r2));
-    EXPECT_NE(farm::serializeResult(r1), farm::serializeResult(r3));
-    EXPECT_EQ(r1.l2_kind, "nurapid");
-    EXPECT_EQ(r3.l2_kind, "shared");
-
-    farm::ServeStats stats = farm::requestStats(sock);
-    EXPECT_EQ(stats.computed, 2u);
-    EXPECT_EQ(stats.served, 3u);
-
-    // A repeat after completion is a pure cache hit.
-    int fd4 = farm::openRequest(sock, a);
-    RunResult r4;
-    ASSERT_TRUE(farm::finishRequest(fd4, r4));
-    EXPECT_EQ(farm::serializeResult(r4), farm::serializeResult(r1));
-    stats = farm::requestStats(sock);
-    EXPECT_EQ(stats.computed, 2u);
-    EXPECT_EQ(stats.served, 4u);
-
-    farm::requestShutdown(sock);
-    EXPECT_EQ(farm::reapProcess(pid), 0);
+    std::vector<RunResult> solo;
+    for (const ParallelJob &j : jobs)
+        solo.push_back(Runner::run(j.sys_cfg, j.workload, j.run_cfg));
+    expectSameResults(solo, ParallelRunner::runAll(jobs, 1));
+    expectSameResults(solo, ParallelRunner::runAll(jobs, 4));
+    expectSameResults(solo, farm::runFarm(cells, cliFarm(1, "")));
+    expectSameResults(
+        solo, farm::runFarm(cells, cliFarm(2, uniqueDir("farm_grid"))));
 }
 
 } // namespace

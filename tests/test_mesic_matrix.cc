@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,17 @@ struct MesicCase
     /** Expected number of data frames holding the block. */
     int frames;
 };
+
+/**
+ * Print a case as its name. gtest_discover_tests puts the printed
+ * parameter into each ctest name, and the default printer dumps the
+ * struct's bytes -- pointers that move on every build and every run.
+ */
+void
+PrintTo(const MesicCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 NurapidParams
 tinyNurapid()

@@ -1,10 +1,12 @@
 /**
  * @file
  * Tests for the packed trace capture/replay subsystem: encode/decode
- * round-trip fuzzing, CNTRF001 file validation (corrupt and truncated
- * inputs must be rejected loudly), wrap semantics, canonical-order
- * determinism including concurrent chunk growth, the process-wide
- * TraceCache, and end-to-end replay equality across worker counts.
+ * round-trip fuzzing, CNTRF001 file validation (corrupt, truncated and
+ * missing inputs must be rejected loudly), wrap semantics, capture
+ * fidelity against fresh generation, cycle-for-cycle replay of a
+ * captured run, canonical-order determinism including concurrent chunk
+ * growth, the process-wide TraceCache, and end-to-end replay equality
+ * across worker counts.
  */
 
 #include <gtest/gtest.h>
@@ -210,6 +212,80 @@ TEST(ReplayDeath, ZeroCoreHeaderRejected)
     std::remove(path.c_str());
 }
 
+// ---------------------------------------------------------------------
+// CNTRF001 files: the one trace file format
+// ---------------------------------------------------------------------
+
+TEST(ReplayFile, CaptureMatchesFreshGeneration)
+{
+    // Consume part of a generating trace, save what was published, and
+    // compare against a fresh generator drawn in the canonical
+    // round-robin order: the capture holds exactly that stream.
+    std::string path = tempPath("capture");
+    SynthWorkloadParams params = Runner::effectiveSynthParams(
+        workloads::byName("barnes"), RunConfig{});
+    RecordedTrace trace(params);
+    for (int c = 0; c < trace.cores(); ++c) {
+        ReplaySource src(trace, c);
+        for (int i = 0; i < 100; ++i)
+            src.next();
+    }
+    trace.saveTrf(path);
+    auto loaded = RecordedTrace::fromFile(path);
+    ASSERT_EQ(loaded->cores(), trace.cores());
+    EXPECT_EQ(loaded->paramsHash(), RecordedTrace::hashParams(params));
+    EXPECT_EQ(loaded->seed(), params.seed);
+
+    SynthWorkload fresh(params);
+    std::vector<std::unique_ptr<ReplaySource>> replays;
+    for (int c = 0; c < loaded->cores(); ++c) {
+        EXPECT_GE(loaded->recordsPublished(c), 100u);
+        replays.push_back(std::make_unique<ReplaySource>(*loaded, c));
+    }
+    for (int i = 0; i < 100; ++i)
+        for (int c = 0; c < loaded->cores(); ++c)
+            EXPECT_TRUE(sameRecord(replays[c]->next(),
+                                   fresh.source(c).next()))
+                << "core " << c << " #" << i;
+    std::remove(path.c_str());
+}
+
+TEST(ReplayFile, ReplayReproducesRunCycleForCycle)
+{
+    // Run on a materialized stream, capture it, then drive an identical
+    // system from the captured file: timing, IPC and every statistic
+    // must match exactly.
+    std::string path = tempPath("cycle");
+    WorkloadSpec wl = workloads::byName("specjbb");
+    RunConfig rc;
+    rc.warmup_instructions = 20'000;
+    rc.measure_instructions = 40'000;
+    rc.collect_stats_dump = true;
+    SystemConfig cfg = Runner::paperConfig(L2Kind::Nurapid);
+
+    RunConfig live = rc;
+    auto trace = std::make_shared<RecordedTrace>(
+        Runner::effectiveSynthParams(wl, rc));
+    live.replay = trace;
+    RunResult recorded = Runner::run(cfg, wl, live);
+    trace->saveTrf(path);
+
+    RunConfig from_file = rc;
+    from_file.replay = RecordedTrace::fromFile(path);
+    RunResult replayed = Runner::run(cfg, wl, from_file);
+    EXPECT_EQ(recorded.cycles, replayed.cycles);
+    EXPECT_EQ(recorded.instructions, replayed.instructions);
+    EXPECT_DOUBLE_EQ(recorded.ipc, replayed.ipc);
+    EXPECT_EQ(recorded.stats_dump, replayed.stats_dump);
+    std::remove(path.c_str());
+}
+
+TEST(ReplayFileDeathTest, MissingFileIsFatal)
+{
+    EXPECT_DEATH(RecordedTrace::fromFile("/nonexistent/nope.trf"),
+                 "cannot open");
+}
+
 TEST(Replay, FrozenTraceWrapsAndRepeats)
 {
     Rng rng(11);
@@ -320,7 +396,6 @@ TEST(Replay, RunnerReplayMatchesAcrossWorkerCounts)
 
     auto grid = [&](unsigned workers) {
         ParallelRunner pool(workers);
-        pool.enableSharedTraceCache();
         for (L2Kind k : {L2Kind::Shared, L2Kind::Nurapid,
                          L2Kind::Private}) {
             pool.submit(Runner::paperConfig(k),

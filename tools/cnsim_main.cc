@@ -17,33 +17,36 @@
  * are printed in grid order and are byte-identical for every --jobs
  * value; per-job progress and elapsed time go to stderr.
  *
+ * Every cell reads the canonical reference stream of its (workload,
+ * seed), so a cell prints the same row alone, in any grid, and at any
+ * --jobs or --farm-jobs value.
+ *
  * --farm-jobs moves the fan-out from threads to worker *processes*
  * with a content-addressed result/checkpoint cache (src/farm/); the
  * printed table stays byte-identical to the in-process path. The same
  * binary is also the farm worker (`cnsim --worker`, spawned by the
- * coordinator) and the result server (`cnsim serve --socket <path>`).
+ * coordinator).
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "common/logging.hh"
-#include "core/core.hh"
 #include "farm/cache.hh"
 #include "farm/coordinator.hh"
-#include "farm/serve.hh"
 #include "farm/worker.hh"
-#include "sim/event_queue.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/runner.hh"
 #include "trace/replay.hh"
-#include "trace/trace_file.hh"
 
 using namespace cnsim;
 
@@ -106,11 +109,10 @@ usage(const char *argv0)
         "then measure\n"
         "                     (grid sweeps insert <l2>-<workload> before "
         "the\n"
-        "                     extension); implies --replay-cache\n"
+        "                     extension)\n"
         "  --ckpt-load <file> resume from a saved checkpoint instead of "
         "warming up\n"
-        "                     (config- and trace-strict); implies "
-        "--replay-cache\n"
+        "                     (config- and trace-strict)\n"
         "  --no-cr            disable controlled replication (nurapid)\n"
         "  --no-isc           disable in-situ communication (nurapid)\n"
         "  --promotion <p>    fastest|next-fastest|none (nurapid)\n"
@@ -134,44 +136,17 @@ usage(const char *argv0)
         "  --metrics-out <file>    write the metrics time series CSV "
         "here\n"
         "  --audit            run the online coherence-protocol auditor\n"
-        "  --replay-cache     materialize each workload's stream once "
-        "(canonical\n"
-        "                     order) and replay it across every grid "
-        "cell;\n"
-        "                     multi-cell grids default to generating "
-        "the same\n"
-        "                     canonical stream live per cell (identical "
-        "records,\n"
-        "                     no decode cost) and materialize only when "
-        "a\n"
-        "                     positional cursor is needed (sampling, "
-        "checkpoints,\n"
-        "                     capture)\n"
-        "  --no-replay-cache  regenerate the stream live per cell "
-        "(timing-\n"
-        "                     interleaved order)\n"
-        "  --trace-capture <file>  save the replayed stream(s) as "
+        "  --trace-capture <file>  save the canonical stream(s) as "
         "CNTRF001 (grids\n"
         "                     with several workloads insert the "
         "workload name\n"
-        "                     before the extension); implies "
-        "--replay-cache\n"
+        "                     before the extension)\n"
         "  --trace-replay <file>   drive every cell from a captured "
         "CNTRF001 trace\n"
         "                     (single workload name for labeling only)"
         "\n"
-        "  --record <prefix>  record per-core traces to "
-        "<prefix>.core<N>.trc (legacy\n"
-        "                     CNSTRC01, timing-interleaved, serial)\n"
-        "  --replay <prefix>  drive the cores from recorded legacy "
-        "traces\n"
         "  --list             list workloads and organizations\n"
         "subcommands:\n"
-        "  serve --socket <path> [--cache-dir <dir>]\n"
-        "                     run the result server: framed cell "
-        "requests over a\n"
-        "                     Unix socket, cached results, in-flight "
-        "dedup\n"
         "  --worker [--cache-dir <dir>]\n"
         "                     farm worker loop on stdin/stdout "
         "(spawned by the\n"
@@ -234,103 +209,25 @@ parseInterconnect(const std::string &s)
 }
 
 /**
- * Drive one run with trace recording or replay. Bypasses the Runner so
- * the cores can be fed RecordingSource/FileTraceSource wrappers; the
- * printed metrics follow the same warm-up/measure discipline.
+ * Parse @p v as the value of numeric flag @p flag. The whole string
+ * must be decimal digits -- no sign, whitespace or suffix -- naming a
+ * value in [@p lo, @p hi]; anything else is a fatal() user error.
  */
-RunResult
-runWithTraceIO(const SystemConfig &cfg, const WorkloadSpec &wl,
-               const RunConfig &rc, const std::string &record_prefix,
-               const std::string &replay_prefix)
+std::uint64_t
+parseCount(const std::string &flag, const char *v, std::uint64_t lo,
+           std::uint64_t hi)
 {
-    SystemConfig sc = cfg;
-    if (!rc.trace_out.empty())
-        sc.obs.trace = true;
-    if (!rc.binlog_out.empty())
-        sc.obs.binlog_out = rc.binlog_out;
-    System system(sc);
-    std::unique_ptr<SynthWorkload> synth;
-    if (replay_prefix.empty())
-        synth = std::make_unique<SynthWorkload>(wl.synth);
-
-    std::vector<std::unique_ptr<TraceFileWriter>> writers;
-    std::vector<std::unique_ptr<TraceSource>> sources;
-    for (int c = 0; c < cfg.num_cores; ++c) {
-        std::string path =
-            (record_prefix.empty() ? replay_prefix : record_prefix) +
-            ".core" + std::to_string(c) + ".trc";
-        if (!replay_prefix.empty()) {
-            sources.push_back(std::make_unique<FileTraceSource>(path));
-        } else if (!record_prefix.empty()) {
-            writers.push_back(std::make_unique<TraceFileWriter>(path));
-            sources.push_back(std::make_unique<RecordingSource>(
-                synth->source(c), *writers.back()));
-        }
-    }
-
-    EventQueue eq;
-    std::vector<std::unique_ptr<Core>> cores;
-    for (int c = 0; c < cfg.num_cores; ++c) {
-        cores.push_back(std::make_unique<Core>(
-            c, system, *sources[c], cfg.core_non_mem_cpi));
-        cores.back()->attachSink(system.traceSink());
-        cores.back()->start(eq);
-    }
-    auto max_instr = [&]() {
-        std::uint64_t m = 0;
-        for (auto &core : cores)
-            m = std::max(m, core->epochInstructions());
-        return m;
-    };
-    while (max_instr() < rc.warmup_instructions) {
-        eq.run(eq.now() + rc.quantum);
-        system.obsTick(eq.now());
-    }
-    system.resetStats();
-    Tick epoch = eq.now();
-    for (auto &core : cores)
-        core->markEpoch(epoch);
-    while (max_instr() < rc.measure_instructions) {
-        eq.run(eq.now() + rc.quantum);
-        system.obsTick(eq.now());
-    }
-    system.checkInvariants();
-
-    RunResult r;
-    r.workload = wl.name;
-    r.l2_kind = system.l2().kind();
-    r.cycles = eq.now() - epoch;
-    for (auto &core : cores)
-        r.instructions += core->epochInstructions();
-    r.ipc = r.cycles ? static_cast<double>(r.instructions) / r.cycles
-                     : 0.0;
-    r.frac_hit = system.l2().clsFraction(AccessClass::Hit);
-    r.frac_ros = system.l2().clsFraction(AccessClass::ROSMiss);
-    r.frac_rws = system.l2().clsFraction(AccessClass::RWSMiss);
-    r.frac_cap = system.l2().clsFraction(AccessClass::CapacityMiss);
-
-    if (rc.collect_stats_dump || rc.collect_stats_csv) {
-        StatGroup g("system");
-        system.regStats(g);
-        for (auto &core : cores)
-            core->regStats(g);
-        if (rc.collect_stats_dump)
-            r.stats_dump = g.dump();
-        if (rc.collect_stats_csv)
-            r.stats_csv = g.dumpCsv();
-    }
-    system.finishObs(eq.now());
-    if (system.metrics())
-        r.metrics_csv = system.metrics()->csv();
-    if (obs::TraceSink *sink = system.traceSink()) {
-        r.trace_events = sink->recordedEvents();
-        r.trace_dropped = sink->dropped();
-        if (!rc.trace_out.empty())
-            sink->exportTo(rc.trace_out, rc.trace_format);
-    }
-    if (system.auditor())
-        r.audited_transitions = system.auditor()->transitions();
-    return r;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long n = std::strtoull(v, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0')
+        fatal("%s needs a non-negative integer, got '%s'", flag.c_str(),
+              v);
+    if (errno == ERANGE || n < lo || n > hi)
+        fatal("%s must be in %llu..%llu, got '%s'", flag.c_str(),
+              static_cast<unsigned long long>(lo),
+              static_cast<unsigned long long>(hi), v);
+    return n;
 }
 
 std::vector<std::string>
@@ -355,8 +252,8 @@ parseWorkloads(const std::string &s)
 int
 main(int argc, char **argv)
 {
-    // Subcommand dispatch before regular flag parsing: the worker and
-    // serve modes are protocol loops, not sweep drivers.
+    // Subcommand dispatch before regular flag parsing: the worker mode
+    // is a protocol loop, not a sweep driver.
     if (argc > 1 && std::strcmp(argv[1], "--worker") == 0) {
         std::string cache_dir;
         for (int i = 2; i < argc; ++i) {
@@ -367,23 +264,6 @@ main(int argc, char **argv)
                       "got '%s'", argv[i]);
         }
         return farm::workerMain(cache_dir);
-    }
-    if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
-        std::string socket_path;
-        std::string serve_cache = farm::Cache::defaultDir();
-        for (int i = 2; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc)
-                socket_path = argv[++i];
-            else if (std::strcmp(argv[i], "--cache-dir") == 0 &&
-                     i + 1 < argc)
-                serve_cache = argv[++i];
-            else
-                fatal("serve accepts --socket <path> and --cache-dir "
-                      "<dir>, got '%s'", argv[i]);
-        }
-        if (socket_path.empty())
-            fatal("serve needs --socket <path>");
-        return farm::serveMain(socket_path, serve_cache);
     }
 
     std::string l2_arg = "nurapid";
@@ -401,13 +281,10 @@ main(int argc, char **argv)
     bool no_isc = false;
     std::string promotion = "fastest";
     unsigned tag_factor = 2;
-    std::string record_prefix;
-    std::string replay_prefix;
     std::string ckpt_save_path;
     std::string ckpt_load_path;
     std::string trace_capture_path;
     std::string trace_replay_path;
-    int replay_cache = -1;  // -1 auto, 0 off, 1 on
     std::string stats_csv_path;
     std::string trace_out;
     std::string binlog_out;
@@ -416,6 +293,8 @@ main(int argc, char **argv)
     std::uint64_t metrics_interval = 0;
     bool audit = false;
 
+    constexpr std::uint64_t any = std::numeric_limits<std::uint64_t>::max();
+    constexpr std::uint64_t max_workers = 1024;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         auto next = [&]() -> const char * {
@@ -423,37 +302,27 @@ main(int argc, char **argv)
                 fatal("missing value for %s", a.c_str());
             return argv[++i];
         };
+        auto count = [&](std::uint64_t lo, std::uint64_t hi) {
+            return parseCount(a, next(), lo, hi);
+        };
         if (a == "--l2") {
             l2_arg = next();
         } else if (a == "--workload") {
             wl_arg = next();
         } else if (a == "--cores") {
-            const char *v = next();
-            char *end = nullptr;
-            cores = static_cast<int>(std::strtol(v, &end, 10));
-            if (end == v || *end != '\0' || cores < 1 || cores > 64)
-                fatal("--cores needs an integer in 1..64, got '%s'", v);
+            cores = static_cast<int>(count(1, 64));
         } else if (a == "--interconnect") {
             icn = parseInterconnect(next());
         } else if (a == "--warmup") {
-            rc.warmup_instructions = std::strtoull(next(), nullptr, 10);
+            rc.warmup_instructions = count(0, any);
         } else if (a == "--measure") {
-            rc.measure_instructions = std::strtoull(next(), nullptr, 10);
+            rc.measure_instructions = count(1, any);
         } else if (a == "--seed") {
-            rc.seed = std::strtoull(next(), nullptr, 10);
+            rc.seed = count(0, any);
         } else if (a == "--jobs") {
-            const char *v = next();
-            char *end = nullptr;
-            jobs = static_cast<unsigned>(std::strtoul(v, &end, 10));
-            if (end == v || *end != '\0' || jobs == 0)
-                fatal("--jobs needs a positive integer, got '%s'", v);
+            jobs = static_cast<unsigned>(count(1, max_workers));
         } else if (a == "--farm-jobs") {
-            const char *v = next();
-            char *end = nullptr;
-            farm_jobs = static_cast<int>(std::strtol(v, &end, 10));
-            if (end == v || *end != '\0' || farm_jobs < 0)
-                fatal("--farm-jobs needs a non-negative integer "
-                      "(0 = hardware concurrency), got '%s'", v);
+            farm_jobs = static_cast<int>(count(0, max_workers));
         } else if (a == "--cache-dir") {
             cache_dir = next();
         } else if (a == "--stats") {
@@ -474,7 +343,7 @@ main(int argc, char **argv)
                 fatal("--trace-format must be json or bin, got '%s'",
                       f.c_str());
         } else if (a == "--metrics-interval") {
-            metrics_interval = std::strtoull(next(), nullptr, 10);
+            metrics_interval = count(0, any);
         } else if (a == "--metrics-out") {
             metrics_out = next();
         } else if (a == "--audit") {
@@ -486,36 +355,24 @@ main(int argc, char **argv)
         } else if (a == "--promotion") {
             promotion = next();
         } else if (a == "--tag-factor") {
-            tag_factor =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+            tag_factor = static_cast<unsigned>(count(1, 4));
+            if (tag_factor == 3)
+                fatal("--tag-factor must be 1, 2 or 4, got '3'");
         } else if (a == "--sample-windows") {
-            const char *v = next();
-            char *end = nullptr;
-            rc.sample_windows =
-                static_cast<unsigned>(std::strtoul(v, &end, 10));
-            if (end == v || *end != '\0' || rc.sample_windows == 0)
-                fatal("--sample-windows needs a positive integer, "
-                      "got '%s'", v);
+            rc.sample_windows = static_cast<unsigned>(
+                count(1, std::numeric_limits<unsigned>::max()));
         } else if (a == "--sample-detail") {
-            rc.sample_detail = std::strtoull(next(), nullptr, 10);
+            rc.sample_detail = count(0, any);
         } else if (a == "--sample-warmup") {
-            rc.sample_warmup = std::strtoull(next(), nullptr, 10);
+            rc.sample_warmup = count(0, any);
         } else if (a == "--ckpt-save") {
             ckpt_save_path = next();
         } else if (a == "--ckpt-load") {
             ckpt_load_path = next();
-        } else if (a == "--record") {
-            record_prefix = next();
-        } else if (a == "--replay") {
-            replay_prefix = next();
         } else if (a == "--trace-capture") {
             trace_capture_path = next();
         } else if (a == "--trace-replay") {
             trace_replay_path = next();
-        } else if (a == "--replay-cache") {
-            replay_cache = 1;
-        } else if (a == "--no-replay-cache") {
-            replay_cache = 0;
         } else if (a == "--list") {
             std::printf("workloads (Table 3): ");
             for (const auto &w : workloads::multithreadedNames())
@@ -544,22 +401,8 @@ main(int argc, char **argv)
     if (!metrics_out.empty() && metrics_interval == 0)
         metrics_interval = 100'000;
 
-    const bool trace_io = !record_prefix.empty() || !replay_prefix.empty();
-    if (trace_io &&
-        (!trace_capture_path.empty() || !trace_replay_path.empty() ||
-         replay_cache == 1)) {
-        fatal("--record/--replay (legacy per-core traces) cannot be "
-              "combined with --trace-capture/--trace-replay/"
-              "--replay-cache");
-    }
     const bool ckpt =
         !ckpt_save_path.empty() || !ckpt_load_path.empty();
-    if (ckpt && trace_io)
-        fatal("--ckpt-save/--ckpt-load cannot be combined with the "
-              "legacy --record/--replay path");
-    if (ckpt && replay_cache == 0)
-        fatal("checkpoints store a positional stream cursor and need "
-              "the replay cache; drop --no-replay-cache");
     if (!ckpt_save_path.empty() && !ckpt_load_path.empty())
         fatal("--ckpt-save and --ckpt-load are mutually exclusive");
     if (!trace_capture_path.empty() && !trace_replay_path.empty())
@@ -568,9 +411,6 @@ main(int argc, char **argv)
 
     const bool farm_mode = farm_jobs >= 0;
     if (farm_mode) {
-        if (trace_io)
-            fatal("--farm-jobs cannot drive the legacy "
-                  "--record/--replay path");
         if (!trace_capture_path.empty() || !trace_replay_path.empty())
             fatal("--farm-jobs cannot capture or replay CNTRF001 "
                   "traces; cells rebuild their canonical streams from "
@@ -591,34 +431,11 @@ main(int argc, char **argv)
         fatal("--trace-replay drives a single workload (got %zu)",
               wl_list.size());
 
-    // Stream-sharing policy. Multi-cell grids default to the canonical
-    // stream -- byte-identical records in every cell. Grids where at
-    // least ParallelRunner::min_stream_sharers cells share a
-    // workload's stream materialize it once (the generator amortizes
-    // and cells read flat chunks); below that threshold the stream is
-    // served by regeneration (canonical-live), which is cheaper than
-    // materialize-then-read for a lone consumer. A materialized
-    // RecordedTrace is also forced whenever something needs its
-    // positional cursor: sampling hops, checkpoints, capture, or an
-    // explicit --replay-cache. --no-replay-cache restores plain live
-    // per-cell generation (timing-interleaved stream order).
-    const bool auto_shared = replay_cache == -1 && multi && !trace_io &&
-                             !ckpt && trace_capture_path.empty();
-    const bool use_replay_cache =
-        replay_cache == 1 || ckpt ||
-        (!trace_capture_path.empty() && replay_cache != 0) ||
-        (auto_shared &&
-         (rc.sample_windows > 0 ||
-          kind_list.size() >= ParallelRunner::min_stream_sharers));
-    const bool use_canonical = auto_shared && rc.sample_windows == 0 &&
-                               trace_replay_path.empty() &&
-                               !use_replay_cache;
-    if (!trace_capture_path.empty() && !use_replay_cache)
-        fatal("--trace-capture needs the replay cache; drop "
-              "--no-replay-cache");
-
-    // Per-workload shared traces for this grid (capture needs the
-    // handles afterwards to save the streams).
+    // Stream delivery is planned per batch by the ParallelRunner
+    // (planStreams) -- except here, where the stream is user input:
+    // --trace-replay drives every cell from the captured file, and
+    // --trace-capture attaches each workload's shared materialized
+    // stream so it can be saved afterwards.
     std::shared_ptr<RecordedTrace> frozen;
     if (!trace_replay_path.empty()) {
         frozen = RecordedTrace::fromFile(trace_replay_path);
@@ -628,20 +445,19 @@ main(int argc, char **argv)
                    frozen->recordsPublished(0)));
     }
     std::vector<std::pair<std::string, std::shared_ptr<RecordedTrace>>>
-        cached_traces;
+        captured;
     auto trace_for = [&](const std::string &w)
         -> std::shared_ptr<RecordedTrace> {
         if (frozen)
             return frozen;
-        if (!use_replay_cache)
+        if (trace_capture_path.empty())
             return nullptr;
-        for (const auto &ct : cached_traces)
+        for (const auto &ct : captured)
             if (ct.first == w)
                 return ct.second;
-        cached_traces.emplace_back(
-            w, TraceCache::global().acquire(Runner::effectiveSynthParams(
-                   workloads::byName(w, cores), rc)));
-        return cached_traces.back().second;
+        captured.emplace_back(w, Runner::acquireSharedTrace(
+                                     workloads::byName(w, cores), rc));
+        return captured.back().second;
     };
 
     ParallelRunner pool(jobs);
@@ -663,15 +479,12 @@ main(int argc, char **argv)
 
         for (const auto &w : wl_list) {
             RunConfig run = rc;
-            // Farm cells rebuild their streams worker-side from the
-            // spec; materializing here would be pure waste.
-            run.replay = farm_mode ? nullptr : trace_for(w);
+            run.replay = trace_for(w);
             if (run.replay && run.replay->cores() != cfg.num_cores) {
                 fatal("trace '%s' has %d cores but the system has %d",
                       trace_replay_path.c_str(), run.replay->cores(),
                       cfg.num_cores);
             }
-            run.canonical_live = use_canonical && !run.replay;
             // Grid sweeps write one trace per run, tagged by cell.
             if (!trace_out.empty())
                 run.trace_out =
@@ -695,13 +508,7 @@ main(int argc, char **argv)
                     multi ? tagPath(ckpt_load_path,
                                     std::string(toString(kind)) + "-" + w)
                           : ckpt_load_path;
-            if (trace_io) {
-                // Trace record/replay shares files between runs, so it
-                // stays serial and bypasses the pool.
-                results.push_back(runWithTraceIO(
-                    cfg, workloads::byName(w, cores), run, record_prefix,
-                    replay_prefix));
-            } else if (farm_mode) {
+            if (farm_mode) {
                 farm::CellSpec spec;
                 spec.l2_kind = static_cast<std::uint32_t>(kind);
                 spec.cores = static_cast<std::uint32_t>(cores);
@@ -727,12 +534,6 @@ main(int argc, char **argv)
                 spec.sample_warmup = rc.sample_warmup;
                 spec.collect_stats_dump = rc.collect_stats_dump ? 1 : 0;
                 spec.collect_stats_csv = rc.collect_stats_csv ? 1 : 0;
-                // Mirror the in-process stream decision so farm and
-                // in-process sweeps stay byte-identical.
-                spec.trace_mode = static_cast<std::uint8_t>(
-                    use_replay_cache ? farm::CellTraceMode::Materialized
-                    : use_canonical  ? farm::CellTraceMode::Canonical
-                                     : farm::CellTraceMode::Live);
                 farm_cells.push_back(spec);
             } else {
                 pool.submit(cfg, workloads::byName(w, cores), run);
@@ -745,7 +546,7 @@ main(int argc, char **argv)
         fo.workers = static_cast<unsigned>(farm_jobs);
         fo.cache_dir = cache_dir;
         results = farm::runFarm(farm_cells, fo);
-    } else if (!trace_io) {
+    } else {
         pool.onProgress([](const JobReport &rep) {
             inform("[%zu/%zu] %s/%s: %.1fs", rep.completed, rep.total,
                    rep.result->l2_kind.c_str(),
@@ -810,7 +611,7 @@ main(int argc, char **argv)
     if (!trace_capture_path.empty()) {
         // Save exactly what the grid consumed: the published prefix of
         // each workload's canonical stream.
-        for (const auto &ct : cached_traces) {
+        for (const auto &ct : captured) {
             std::string path = wl_list.size() > 1
                                    ? tagPath(trace_capture_path, ct.first)
                                    : trace_capture_path;
