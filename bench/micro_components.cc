@@ -16,6 +16,7 @@
 #include "mem/bus.hh"
 #include "mem/memory.hh"
 #include "nurapid/cmp_nurapid.hh"
+#include "obs/binlog.hh"
 #include "obs/trace_sink.hh"
 #include "sim/event_queue.hh"
 #include "trace/workloads.hh"
@@ -172,12 +173,15 @@ BM_NurapidAccessTracingOn(benchmark::State &state)
     SnoopBus bus;
     CmpNurapid l2(NurapidParams{}, bus, mem);
     l2.setL1Hooks([](CoreId, Addr) {}, [](CoreId, Addr, bool) {});
-    obs::ObsParams op;
-    op.trace = true;
-    op.max_events = 1'000'000;
-    obs::TraceSink sink(op);
-    sink.armRecording();
+    // The emit path a --binlog-out run pays: an armed sink streaming
+    // every event through the ring to a BinlogWriter, whose writer
+    // thread drains into /dev/null so the disk stays out of the cost.
+    obs::TraceSink sink;
     l2.setTraceSink(&sink);
+    obs::BinlogWriter writer("/dev/null");
+    writer.begin(sink.components(), {});
+    sink.setBinlog(&writer);
+    sink.armRecording();
     Rng rng(4);
     Tick t = 0;
     for (auto _ : state) {
@@ -187,6 +191,7 @@ BM_NurapidAccessTracingOn(benchmark::State &state)
         benchmark::DoNotOptimize(l2.access(acc, t));
         t += 100;
     }
+    writer.finish();
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NurapidAccessTracingOn);

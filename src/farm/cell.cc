@@ -28,8 +28,6 @@ putKeyFields(sample::Writer &w, const CellSpec &s)
     w.u32(s.tag_factor);
     w.u8(s.audit);
     w.u64(s.metrics_interval);
-    w.str(s.trace_out);
-    w.u8(s.trace_format);
     w.str(s.binlog_out);
     w.str(s.workload);
     w.u64(s.warmup);
@@ -59,8 +57,6 @@ runConfigFor(const CellSpec &s)
     rc.sample_warmup = s.sample_warmup;
     rc.collect_stats_dump = s.collect_stats_dump != 0;
     rc.collect_stats_csv = s.collect_stats_csv != 0;
-    rc.trace_out = s.trace_out;
-    rc.trace_format = static_cast<obs::TraceFormat>(s.trace_format);
     rc.binlog_out = s.binlog_out;
     return rc;
 }
@@ -149,8 +145,6 @@ deserializeCell(const std::string &bytes, const std::string &what)
     s.tag_factor = r.u32();
     s.audit = r.u8();
     s.metrics_interval = r.u64();
-    s.trace_out = r.str();
-    s.trace_format = r.u8();
     s.binlog_out = r.str();
     s.workload = r.str();
     s.warmup = r.u64();
@@ -270,9 +264,7 @@ serializeResult(const RunResult &r)
     putBuckets(w, r.rws_reuse);
     w.str(r.stats_dump);
     w.str(r.stats_csv);
-    w.str(r.metrics_csv);
     w.u64(r.trace_events);
-    w.u64(r.trace_dropped);
     w.u64(r.audited_transitions);
     return w.take();
 }
@@ -307,9 +299,7 @@ deserializeResult(const std::string &bytes, const std::string &what)
     r.rws_reuse = getBuckets(rd);
     r.stats_dump = rd.str();
     r.stats_csv = rd.str();
-    r.metrics_csv = rd.str();
     r.trace_events = rd.u64();
-    r.trace_dropped = rd.u64();
     r.audited_transitions = rd.u64();
     rd.expectExhausted();
     return r;

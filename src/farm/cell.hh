@@ -44,7 +44,7 @@ namespace farm
 /** Bumped whenever a change anywhere in the simulator can alter
  *  results or checkpoint state for an unchanged CellSpec; stale cache
  *  entries then miss instead of serving bytes from an older binary. */
-constexpr std::uint32_t farm_format_version = 2;
+constexpr std::uint32_t farm_format_version = 3;
 
 /** Frame type discriminators of the farm protocol (obs/frame.hh). */
 enum FrameType : std::uint8_t
@@ -70,8 +70,6 @@ struct CellSpec
     // Observability.
     std::uint8_t audit = 0;
     std::uint64_t metrics_interval = 0;
-    std::string trace_out;
-    std::uint8_t trace_format = 0;
     std::string binlog_out;
 
     // Workload and budgets.
@@ -102,7 +100,7 @@ struct CellSpec
      *  cell (cells writing side-effect files must actually run). */
     [[nodiscard]] bool cacheable() const
     {
-        return trace_out.empty() && binlog_out.empty();
+        return binlog_out.empty();
     }
 };
 

@@ -157,6 +157,11 @@ runFarm(const std::vector<CellSpec> &cells, const FarmOptions &opts)
     if (total == 0)
         return results;
 
+    std::vector<std::string> binlogs;
+    for (const CellSpec &c : cells)
+        binlogs.push_back(c.binlog_out);
+    requireDistinctBinlogs(binlogs);
+
     Cache cache(opts.cache_dir);
 
     // Result-cache pre-pass: anything already computed by an earlier

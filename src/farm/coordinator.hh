@@ -56,7 +56,8 @@ struct FarmOptions
 /**
  * Execute @p cells and return their results in submission order,
  * byte-identical to running each cell in-process. Fatal on a cell
- * that fails twice (see the file comment).
+ * that fails twice (see the file comment), and before any cell runs
+ * when two cells share a binlog_out (requireDistinctBinlogs).
  */
 std::vector<RunResult> runFarm(const std::vector<CellSpec> &cells,
                                const FarmOptions &opts);

@@ -183,7 +183,8 @@ toTraceEvent(const BinRecord &r)
 }
 
 SpscRing::SpscRing(std::size_t capacity)
-    : buf(roundUpPow2(capacity) * binlog_record_wire_bytes),
+    : buf(new unsigned char[roundUpPow2(capacity) *
+                            binlog_record_wire_bytes]),
       cap(roundUpPow2(capacity)),
       mask(cap - 1)
 {
@@ -196,7 +197,7 @@ SpscRing::tryPush(const BinRecord &r)
     std::size_t t = tail.load(std::memory_order_acquire);
     if (h - t >= cap)
         return false;
-    encodeRecord(r, buf.data() + (h & mask) * binlog_record_wire_bytes);
+    encodeRecord(r, buf.get() + (h & mask) * binlog_record_wire_bytes);
     head.store(h + 1, std::memory_order_release);
     return true;
 }
@@ -208,7 +209,7 @@ SpscRing::popBulk(BinRecord *out, std::size_t max)
     std::size_t h = head.load(std::memory_order_acquire);
     std::size_t n = std::min(h - t, max);
     for (std::size_t i = 0; i < n; ++i)
-        decodeRecord(buf.data() +
+        decodeRecord(buf.get() +
                          ((t + i) & mask) * binlog_record_wire_bytes,
                      out[i]);
     tail.store(t + n, std::memory_order_release);
@@ -221,7 +222,7 @@ SpscRing::peek(const unsigned char *&p) const
     std::size_t t = tail.load(std::memory_order_relaxed);
     std::size_t h = head.load(std::memory_order_acquire);
     std::size_t n = std::min(h - t, cap - (t & mask));
-    p = buf.data() + (t & mask) * binlog_record_wire_bytes;
+    p = buf.get() + (t & mask) * binlog_record_wire_bytes;
     return n;
 }
 
@@ -355,7 +356,7 @@ BinlogWriter::writerMain()
 }
 
 void
-BinlogWriter::finish(std::uint64_t capture_dropped)
+BinlogWriter::finish()
 {
     if (!begun || finished)
         return;
@@ -373,7 +374,7 @@ BinlogWriter::finish(std::uint64_t capture_dropped)
     unsigned char u64[8];
     enc64(u64, n_appended);
     std::fwrite(u64, 1, 8, file);
-    enc64(u64, capture_dropped);
+    enc64(u64, 0);
     std::fwrite(u64, 1, 8, file);
     std::fclose(file);
     file = nullptr;

@@ -45,6 +45,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -180,8 +181,10 @@ class SpscRing
     std::size_t capacity() const { return cap; }
 
   private:
-    /** cap * wire-bytes, encoded records. */
-    std::vector<unsigned char> buf
+    /** cap * wire-bytes, encoded records. Left uninitialized: every
+     *  cell is fully encoded before it is published, so a run only
+     *  faults in the pages its records reach. */
+    std::unique_ptr<unsigned char[]> buf
         CNSIM_SYNC_NOTE("SPSC: producer writes [tail, head) cells it "
                         "owns, consumer reads cells head/tail publish");
     const std::size_t cap;
@@ -195,8 +198,9 @@ class SpscRing
 /**
  * Streams BinRecords to a CNBLG01 file through an SpscRing drained by
  * a background writer thread. One writer per System; begin() is
- * called at the measurement epoch (component and metric registration
- * is complete by then), finish() at the end of the run.
+ * called once component and metric registration is final (the
+ * System's first obsTick() or resetStats(), before warm-up in
+ * Runner::run), finish() at the end of the run.
  */
 class BinlogWriter
 {
@@ -230,12 +234,11 @@ class BinlogWriter
                       double value);
 
     /**
-     * Stop the writer thread, drain the ring, and write the trailer.
-     * @p capture_dropped records how many events the capture side
-     * dropped before they reached the binlog (the TraceSink's vector
-     * cap; the binlog itself never drops). Idempotent.
+     * Stop the writer thread, drain the ring, and write the trailer
+     * (its drop field is always 0: nothing drops on the way to the
+     * binlog). Idempotent.
      */
-    void finish(std::uint64_t capture_dropped = 0);
+    void finish();
 
     /** Records appended so far (producer-side count). */
     std::uint64_t records() const { return n_appended; }
@@ -280,7 +283,8 @@ struct BinlogData
     std::vector<std::string> components;
     std::vector<std::string> metrics;
     std::vector<BinRecord> records;
-    /** Capture-side drops recorded in the trailer. */
+    /** Capture-side drops recorded in the trailer (0 for every file
+     *  BinlogWriter writes). */
     std::uint64_t dropped = 0;
 };
 

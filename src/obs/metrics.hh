@@ -4,9 +4,11 @@
  *
  * Named counters and gauges are grouped by dotted component path
  * ("l2.nurapid.core0.tag", "mem.bus"). The registry samples every
- * registered metric at a configurable tick interval and renders the
- * resulting time-series as CSV, so benches can plot warm-up behaviour
- * (DESIGN.md 3b calibration) next to the end-of-run stats block.
+ * registered metric at a configurable tick interval and streams each
+ * snapshot row to the run's CNBLG01 binlog; it keeps no rows itself.
+ * `cntrace csv run.blg` renders the time series offline, warm-up rows
+ * included, so benches can plot warm-up behaviour (DESIGN.md 3b
+ * calibration) next to the end-of-run stats block.
  *
  * The registry does not own counters: components keep their existing
  * Counter/Scalar members and the registry holds read-only accessors,
@@ -69,57 +71,28 @@ class MetricsRegistry
     /**
      * Close out the time-series at the end of the run: emits the
      * trailing partial-interval snapshot so the final ticks of a run
-     * are never silently missing from the CSV (a run whose length is
-     * not a multiple of the interval still gets a last row at @p now).
+     * are never silently missing from the series (a run whose length
+     * is not a multiple of the interval still gets a last row at
+     * @p now).
      */
     void finish(Tick now) { snapshot(now); }
 
     /**
      * Stream every snapshot row to @p w (one MetricValue record per
-     * column) in addition to the in-memory time-series. Rows taken
-     * while the writer is not active stay in-memory only.
+     * column). A snapshot taken while no writer is active keeps the
+     * interval cadence but samples nothing.
      */
     void setBinlog(BinlogWriter *w) { binlog = w; }
 
     /** @return number of registered metrics (columns). */
     std::size_t numMetrics() const { return paths.size(); }
 
-    /** @return number of snapshots taken so far (rows). */
-    std::size_t numSnapshots() const { return rows.size(); }
-
     /** @return registered metric paths, in column order. */
     const std::vector<std::string> &metricPaths() const { return paths; }
 
-    /** @return the latest sampled value of metric @p path. */
-    double latest(const std::string &path) const;
-
-    /**
-     * @return the sum of the latest sampled values of every metric
-     * whose path starts with "@p prefix." (or equals @p prefix) --
-     * hierarchical roll-up, e.g. total("l2.nurapid").
-     */
-    double total(const std::string &prefix) const;
-
-    /**
-     * Render the time-series as CSV: a "tick,<path>,..." header and
-     * one row per snapshot. Counter columns are cumulative values at
-     * the snapshot tick (they drop to zero at the measurement epoch
-     * when stats are reset).
-     */
-    std::string csv() const;
-
   private:
-    struct Row
-    {
-        Tick tick;
-        std::vector<double> values;
-    };
-
-    int indexOf(const std::string &path) const;
-
     std::vector<std::string> paths;
     std::vector<std::function<double()>> samplers;
-    std::vector<Row> rows;
     BinlogWriter *binlog = nullptr;
     Tick _interval = 0;
     Tick last_snapshot = 0;

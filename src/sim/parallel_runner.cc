@@ -4,9 +4,11 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <thread>
 #include <utility>
 
+#include "common/logging.hh"
 #include "common/thread_annotations.hh"
 #include "trace/replay.hh"
 
@@ -59,6 +61,18 @@ planStreams(std::vector<ParallelJob> &jobs)
     }
 }
 
+void
+requireDistinctBinlogs(const std::vector<std::string> &paths)
+{
+    std::set<std::string> seen;
+    for (const std::string &p : paths)
+        if (!p.empty() && !seen.insert(p).second)
+            fatal("two runs stream to one binlog '%s', and one log would "
+                  "be lost; give each run its own binlog_out "
+                  "(--binlog-out)",
+                  p.c_str());
+}
+
 std::size_t
 ParallelRunner::submit(ParallelJob job)
 {
@@ -83,6 +97,11 @@ ParallelRunner::run()
     std::vector<RunResult> results(total);
     if (total == 0)
         return results;
+
+    std::vector<std::string> binlogs;
+    for (const ParallelJob &job : batch)
+        binlogs.push_back(job.run_cfg.binlog_out);
+    requireDistinctBinlogs(binlogs);
 
     // Plan serially, in submission order, before any worker starts:
     // trace acquisition order is then deterministic, and the batch

@@ -33,6 +33,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -131,6 +132,8 @@ class ParallelRunner
      * Execute every pending job and @return their results in
      * submission order (results[i] belongs to the job submit()
      * returned i for), bit-identical to a serial Runner::run loop.
+     * fatal()s before any job runs when two jobs name the same
+     * binlog_out (requireDistinctBinlogs).
      */
     std::vector<RunResult> run();
 
@@ -168,6 +171,14 @@ class ParallelRunner
  * alive for as long as it holds the jobs.
  */
 void planStreams(std::vector<ParallelJob> &jobs);
+
+/**
+ * fatal() when two of @p paths name the same non-empty binlog file:
+ * both runs would stream into it and only one log would survive, in a
+ * file the reader still accepts. ParallelRunner::run() and
+ * farm::runFarm() check their whole batch before any cell runs.
+ */
+void requireDistinctBinlogs(const std::vector<std::string> &paths);
 
 } // namespace cnsim
 

@@ -201,6 +201,10 @@ Runner::validate(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
         fatal("--ckpt-load requires a replay trace: the checkpoint "
               "stores a positional stream cursor, which only a "
               "canonical recorded trace can honor");
+    if (sys_cfg.obs.trace || !run_cfg.trace_out.empty())
+        fatal("the in-memory event store and trace export are gone; "
+              "stream events with binlog_out (--binlog-out) and format "
+              "the log offline with cntrace");
     if (!run_cfg.ckpt_load.empty() && run_cfg.ckpt_blob_in)
         fatal("cannot resume from both a checkpoint file and an "
               "in-memory checkpoint");
@@ -285,11 +289,9 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
     }
     validate(sys_cfg, workload, run_cfg);
 
-    // A trace-out path implies event recording for this run; a
-    // binlog-out path streams events to the CNBLG01 binary log.
+    // A binlog-out path streams events and metrics to the CNBLG01
+    // binary log.
     SystemConfig sc = sys_cfg;
-    if (!run_cfg.trace_out.empty())
-        sc.obs.trace = true;
     if (!run_cfg.binlog_out.empty())
         sc.obs.binlog_out = run_cfg.binlog_out;
 
@@ -397,6 +399,9 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
         for (auto &core : cores)
             core->start(eq);
     } else {
+        // Registration is final here: the first obsTick() opens the
+        // binlog, so warm-up metrics snapshots stream too (events wait
+        // for resetStats() to arm the sink).
         for (auto &core : cores)
             core->start(eq);
         while (max_core_instr() < run_cfg.warmup_instructions) {
@@ -420,7 +425,7 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
     }
 
     // Reset statistics and start the measurement epoch (this also arms
-    // trace recording).
+    // event recording, and opens the binlog if warm-up did not).
     system.resetStats();
     Tick epoch_start = eq.now();
     for (auto &core : cores)
@@ -579,14 +584,8 @@ Runner::run(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
     // Close out observability before reading results: emits the
     // trailing partial-interval metrics snapshot and seals the binlog.
     system.finishObs(end);
-    if (system.metrics())
-        r.metrics_csv = system.metrics()->csv();
-    if (obs::TraceSink *sink = system.traceSink()) {
+    if (obs::TraceSink *sink = system.traceSink())
         r.trace_events = sink->recordedEvents();
-        r.trace_dropped = sink->dropped();
-        if (!run_cfg.trace_out.empty())
-            sink->exportTo(run_cfg.trace_out, run_cfg.trace_format);
-    }
     if (system.auditor())
         r.audited_transitions = system.auditor()->transitions();
     return r;

@@ -43,11 +43,10 @@ struct RunConfig
     bool collect_stats_dump = false;
     /** Collect the statistics CSV into RunResult::stats_csv. */
     bool collect_stats_csv = false;
-    /** Export the recorded event trace here ("" = no trace). Setting
-     *  this implies SystemConfig::obs.trace for the run. */
+    /** Retired online event export; kept only because cnbench/ reads
+     *  it. Runner::validate rejects a non-empty value: use binlog_out
+     *  and format the log offline with cntrace. */
     std::string trace_out;
-    /** Export format for trace_out. */
-    obs::TraceFormat trace_format = obs::TraceFormat::ChromeJson;
     /** Stream events + metrics to this CNBLG01 binary log ("" = off).
      *  Setting this implies SystemConfig::obs.binlog_out. */
     std::string binlog_out;
@@ -157,15 +156,12 @@ struct RunResult
     /** Statistics CSV (when RunConfig::collect_stats_csv). */
     std::string stats_csv;
 
-    /** Metrics time-series CSV (when obs.metrics_interval > 0). */
-    std::string metrics_csv;
-
-    /** Events recorded over the measurement epoch (binlog stream
-     *  count when one is attached, else stored-event count). */
+    /** Records streamed to the binlog (events over the measurement
+     *  epoch plus metrics samples, warm-up included); 0 without one. */
     std::uint64_t trace_events = 0;
 
-    /** Events dropped by the in-memory store past its max_events cap
-     *  (the binlog stream never drops). */
+    /** Always 0: the binlog never drops. Kept only because cnbench/
+     *  reads it; not part of the farm wire format. */
     std::uint64_t trace_dropped = 0;
 
     /** Transitions checked by the auditor (when obs.audit). */
@@ -240,7 +236,8 @@ class Runner
     /**
      * Check the user-supplied parts of a run request -- workload
      * thread count vs. system cores, replay-trace core count, core
-     * count within the sharer-bitset limit -- and fatal() (a clean
+     * count within the sharer-bitset limit, no retired trace-export
+     * request -- and fatal() (a clean
      * user-error exit, never a panicking backtrace) on a mismatch.
      * run() calls this itself; CLIs may call it earlier to fail before
      * building anything.

@@ -124,7 +124,7 @@ System::System(const SystemConfig &c) : cfg(c)
 
     // Observability: one sink per System, never shared, so parallel
     // runs stay deterministic and traced runs stay reproducible.
-    if (cfg.obs.trace || cfg.obs.audit || !cfg.obs.binlog_out.empty()) {
+    if (cfg.obs.audit || !cfg.obs.binlog_out.empty()) {
         sink_ = std::make_unique<obs::TraceSink>(cfg.obs);
         icn->attachSink(sink_.get());
         mem->attachSink(sink_.get());
@@ -270,17 +270,23 @@ System::resetStats()
         l1->resetStats();
     for (auto &l1 : l1is)
         l1->resetStats();
-    // Component and metric registration is complete by the measurement
-    // epoch, so the binlog header tables written here are final (and
-    // deterministic for a given configuration).
-    if (binlog_ && !binlog_->active()) {
-        std::vector<std::string> metric_paths;
-        if (metrics_)
-            metric_paths = metrics_->metricPaths();
-        binlog_->begin(sink_->components(), metric_paths);
-    }
+    openBinlog();
     if (sink_)
         sink_->armRecording();
+}
+
+void
+System::openBinlog()
+{
+    if (!binlog_ || binlog_->active())
+        return;
+    // Component and metric registration is final by the first
+    // obsTick() or resetStats() call, so the header tables written
+    // here are complete (and deterministic for a given configuration).
+    std::vector<std::string> metric_paths;
+    if (metrics_)
+        metric_paths = metrics_->metricPaths();
+    binlog_->begin(sink_->components(), metric_paths);
 }
 
 void
@@ -289,7 +295,7 @@ System::finishObs(Tick now)
     if (metrics_)
         metrics_->finish(now);
     if (binlog_ && binlog_->active())
-        binlog_->finish(sink_->dropped());
+        binlog_->finish();
 }
 
 void

@@ -114,8 +114,9 @@ class System
 
     /**
      * Reset all statistics and arm the trace sink: from here on, every
-     * event is stored, so stored event counts line up with the
-     * post-reset statistics counters.
+     * event streams to the binlog, so streamed event counts line up
+     * with the post-reset statistics counters. Opens the binlog if no
+     * obsTick() has yet.
      */
     void resetStats();
 
@@ -155,17 +156,28 @@ class System
      */
     void finishObs(Tick now);
 
-    /** Periodic observability work (metrics snapshots); cheap no-op
-     *  when the registry is off. Called from the run loop. */
+    /**
+     * Periodic observability work (metrics snapshots); cheap no-op
+     * when observability is off. Called from the run loop, warm-up
+     * included. The first call opens the binlog, so component and
+     * metric registration must be final by then; warm-up metrics
+     * snapshots stream from there on, events only once resetStats()
+     * arms the sink.
+     */
     void
     obsTick(Tick now)
     {
+        openBinlog();
         if (metrics_)
             metrics_->tick(now);
     }
 
   private:
     Tick accessImpl(CoreId core, const TraceRecord &rec, Tick at);
+
+    /** Write the binlog header and start its writer; no-op without a
+     *  binlog or once it is open. */
+    void openBinlog();
 
     /** Map an L2Kind to the protocol family its auditor checks. */
     static obs::AuditProtocol auditProtocolFor(L2Kind kind);

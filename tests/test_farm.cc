@@ -14,6 +14,7 @@
  */
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -208,8 +209,6 @@ TEST(FarmCell, SerializeRoundTripPreservesEveryField)
     s.tag_factor = 4;
     s.audit = 1;
     s.metrics_interval = 5'000;
-    s.trace_out = "events.json";
-    s.trace_format = 1;
     s.binlog_out = "run.blg";
     s.seed = 77;
     s.sample_windows = 3;
@@ -463,6 +462,21 @@ TEST(FarmDeathTest, SecondCrashFailsTheSweepWithCellKeyAndStderr)
                 ::testing::ExitedWithCode(1),
                 "cell snuca/oltp .* failed twice.*synthetic crash");
     ASSERT_EQ(::unsetenv("CNSIM_FARM_TEST_CRASH_CELL"), 0);
+}
+
+TEST(FarmDeathTest, SharedBinlogIsFatalBeforeAnyCellRuns)
+{
+    const std::string path =
+        std::string(::testing::TempDir()) + "cnsim_shared_farm.blg";
+    std::remove(path.c_str());
+    auto cells = quickGrid();
+    cells.resize(2);
+    for (farm::CellSpec &c : cells)
+        c.binlog_out = path;
+    EXPECT_EXIT(farm::runFarm(cells, cliFarm(2, "")),
+                ::testing::ExitedWithCode(1),
+                "two runs stream to one binlog");
+    EXPECT_FALSE(std::ifstream(path).good()) << "a cell ran";
 }
 
 // ---------------------------------------------------------------------

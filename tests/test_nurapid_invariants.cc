@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "common/rng.hh"
@@ -75,6 +76,26 @@ struct FuzzCase
     PromotionPolicy promo;
     ReplicationPolicy repl;
 };
+
+/**
+ * Print a case as a readable, unique name (short enough that the full
+ * ctest name fits ctest's 100-column listing). gtest_discover_tests
+ * puts the printed parameter into each ctest name, and the default
+ * printer dumps the struct's bytes -- padding included, which differs
+ * from build to build.
+ */
+void
+PrintTo(const FuzzCase &fc, std::ostream *os)
+{
+    static const char *const promo[] = {"fastest", "nextFastest",
+                                        "noPromo"};
+    static const char *const repl[] = {"repl2nd", "repl1st", "noRepl"};
+    *os << "seed" << fc.seed << "_pool" << fc.pool_blocks << "_st"
+        << static_cast<int>(fc.store_frac * 100 + 0.5)
+        << (fc.cr ? "_cr" : "_noCr") << (fc.isc ? "_isc" : "_noIsc")
+        << "_" << promo[static_cast<int>(fc.promo)] << "_"
+        << repl[static_cast<int>(fc.repl)];
+}
 
 class NurapidFuzz : public ::testing::TestWithParam<FuzzCase>
 {

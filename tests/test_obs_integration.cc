@@ -2,21 +2,25 @@
  * @file
  * Integration tests for the observability subsystem through the
  * Runner: the auditor passes on real workloads for every L2
- * organization, observability never perturbs simulated timing, traces
- * are deterministic across ParallelRunner worker counts, and a binary
- * trace round-trips through the cntrace reader with event counts that
- * agree with the run's statistics counters.
+ * organization, observability never perturbs simulated timing,
+ * binlogs are deterministic across ParallelRunner worker counts, a
+ * binlog round-trips through the cntrace reader with event counts
+ * that agree with the run's statistics counters, and the metrics
+ * series it carries starts at warm-up.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/binlog.hh"
 #include "obs/event.hh"
 #include "obs/trace_sink.hh"
 #include "sim/parallel_runner.hh"
@@ -40,6 +44,28 @@ slurp(const std::string &path)
     std::stringstream ss;
     ss << in.rdbuf();
     return ss.str();
+}
+
+obs::BinlogData
+readLog(const std::string &path)
+{
+    obs::BinlogData data;
+    std::string err;
+    EXPECT_TRUE(obs::readBinlog(path, data, &err)) << err;
+    return data;
+}
+
+/** The tick column of a binlogMetricsCsv rendering, one per row. */
+std::vector<Tick>
+rowTicks(const std::string &csv)
+{
+    std::vector<Tick> ticks;
+    std::istringstream in(csv);
+    std::string line;
+    std::getline(in, line);  // header
+    while (std::getline(in, line))
+        ticks.push_back(std::strtoull(line.c_str(), nullptr, 10));
+    return ticks;
 }
 
 RunConfig
@@ -93,7 +119,7 @@ TEST(ObsIntegration, AuditorPassesOnEveryOrgAndMtWorkload)
 TEST(ObsIntegration, ObservabilityDoesNotPerturbTiming)
 {
     // The acceptance bar for the whole subsystem: a fully instrumented
-    // run (trace + audit + metrics) must report simulated results
+    // run (binlog + audit + metrics) must report simulated results
     // bit-identical to a plain run of the same configuration.
     for (L2Kind kind : {L2Kind::Nurapid, L2Kind::Private}) {
         SystemConfig cfg = Runner::paperConfig(kind);
@@ -104,16 +130,17 @@ TEST(ObsIntegration, ObservabilityDoesNotPerturbTiming)
         obs_cfg.obs.audit = true;
         obs_cfg.obs.metrics_interval = 50'000;
         RunConfig rc = shortRun();
-        rc.trace_out = tmpPath(std::string("perturb_") + toString(kind) +
-                               ".bin");
-        rc.trace_format = obs::TraceFormat::Binary;
+        rc.binlog_out = tmpPath(std::string("perturb_") + toString(kind) +
+                                ".blg");
         RunResult traced = Runner::run(obs_cfg, wl, rc);
 
         expectIdenticalTiming(plain, traced, toString(kind));
         EXPECT_GT(traced.trace_events, 0u);
         EXPECT_GT(traced.audited_transitions, 0u);
-        EXPECT_FALSE(traced.metrics_csv.empty());
-        std::remove(rc.trace_out.c_str());
+        EXPECT_GT(rowTicks(obs::binlogMetricsCsv(readLog(rc.binlog_out)))
+                      .size(),
+                  0u);
+        std::remove(rc.binlog_out.c_str());
     }
 }
 
@@ -130,8 +157,8 @@ TEST(ObsIntegration, RepeatedRunsAreBitIdentical)
 
 TEST(ObsIntegration, TracesIdenticalAcrossWorkerCounts)
 {
-    // Two-cell grid traced under jobs=1 and jobs=2: the exported
-    // binary traces must be byte-identical (per-System sinks, no
+    // Two-cell grid streaming binlogs under jobs=1 and jobs=2: the
+    // files must be byte-identical (per-System sinks and writers, no
     // process-global state).
     const std::string wls[] = {"oltp", "ocean"};
     std::vector<std::string> files[2];
@@ -141,10 +168,10 @@ TEST(ObsIntegration, TracesIdenticalAcrossWorkerCounts)
             SystemConfig cfg = Runner::paperConfig(L2Kind::Nurapid);
             cfg.obs.audit = true;
             RunConfig rc = shortRun();
-            rc.trace_out = tmpPath("det_j" + std::to_string(jobs) + "_" +
-                                   wl + ".bin");
-            rc.trace_format = obs::TraceFormat::Binary;
-            files[jobs - 1].push_back(rc.trace_out);
+            cfg.obs.metrics_interval = 20'000;
+            rc.binlog_out = tmpPath("det_j" + std::to_string(jobs) + "_" +
+                                    wl + ".blg");
+            files[jobs - 1].push_back(rc.binlog_out);
             pool.submit(cfg, workloads::byName(wl), rc);
         }
         std::vector<RunResult> results = pool.run();
@@ -167,29 +194,23 @@ TEST(ObsIntegration, BinaryTraceRoundTripMatchesCounters)
     SystemConfig cfg = Runner::paperConfig(L2Kind::Nurapid);
     cfg.obs.metrics_interval = 50'000;
     RunConfig rc = shortRun();
-    rc.trace_out = tmpPath("roundtrip.bin");
-    rc.trace_format = obs::TraceFormat::Binary;
+    rc.binlog_out = tmpPath("roundtrip.blg");
     RunResult r = Runner::run(cfg, workloads::byName("oltp"), rc);
 
-    std::vector<obs::TraceEvent> events;
-    std::vector<std::string> comps;
-    std::string err;
-    ASSERT_TRUE(
-        obs::TraceSink::readBinary(rc.trace_out, events, comps, &err))
-        << err;
+    obs::BinlogData data = readLog(rc.binlog_out);
+    // Every streamed record made it to disk and back.
+    EXPECT_EQ(data.records.size(), r.trace_events);
+    EXPECT_EQ(data.dropped, 0u);
+    EXPECT_FALSE(data.components.empty());
 
-    // Every stored event made it to disk and back.
-    EXPECT_EQ(events.size(), r.trace_events);
-    EXPECT_FALSE(comps.empty());
-
-    // Events were stored only over the measurement epoch, so the busTx
-    // count must equal the run's bus-transaction statistic: one event
-    // and one counter increment per transaction.
+    // Events were streamed only over the measurement epoch, so the
+    // busTx count must equal the run's bus-transaction statistic: one
+    // event and one counter increment per transaction.
     std::uint64_t bus_events = 0;
-    for (const obs::TraceEvent &ev : events)
+    for (const obs::TraceEvent &ev : obs::binlogEvents(data))
         bus_events += ev.kind == obs::EventKind::BusTx ? 1 : 0;
     EXPECT_EQ(bus_events, r.bus_transactions);
-    std::remove(rc.trace_out.c_str());
+    std::remove(rc.binlog_out.c_str());
 }
 
 TEST(ObsIntegration, ChromeJsonExportIsWellFormed)
@@ -197,11 +218,16 @@ TEST(ObsIntegration, ChromeJsonExportIsWellFormed)
     SystemConfig cfg = Runner::paperConfig(L2Kind::Nurapid);
     cfg.obs.audit = true;
     RunConfig rc = shortRun();
-    rc.trace_out = tmpPath("chrome.json");
+    rc.binlog_out = tmpPath("chrome.blg");
     RunResult r = Runner::run(cfg, workloads::byName("oltp"), rc);
     EXPECT_GT(r.trace_events, 0u);
 
-    std::string json = slurp(rc.trace_out);
+    // `cntrace json` renders the binlog offline.
+    obs::BinlogData data = readLog(rc.binlog_out);
+    const std::string json_path = tmpPath("chrome.json");
+    obs::writeChromeJson(json_path, obs::binlogEvents(data),
+                         data.components, data.dropped);
+    std::string json = slurp(json_path);
     ASSERT_FALSE(json.empty());
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("mem.bus"), std::string::npos);
@@ -209,7 +235,62 @@ TEST(ObsIntegration, ChromeJsonExportIsWellFormed)
               std::count(json.begin(), json.end(), '}'));
     EXPECT_EQ(std::count(json.begin(), json.end(), '['),
               std::count(json.begin(), json.end(), ']'));
-    std::remove(rc.trace_out.c_str());
+    std::remove(rc.binlog_out.c_str());
+    std::remove(json_path.c_str());
+}
+
+TEST(ObsIntegration, WarmupMetricsRowsReachTheBinlog)
+{
+    // Regression: the binlog used to open at the measurement epoch, so
+    // a warmed run's metrics series lost every warm-up row.
+    SystemConfig cfg = Runner::paperConfig(L2Kind::Nurapid);
+    cfg.obs.metrics_interval = 20'000;
+    RunConfig rc = shortRun();
+    rc.binlog_out = tmpPath("warmup.blg");
+    RunResult r = Runner::run(cfg, workloads::byName("oltp"), rc);
+
+    std::vector<Tick> ticks =
+        rowTicks(obs::binlogMetricsCsv(readLog(rc.binlog_out)));
+    ASSERT_FALSE(ticks.empty());
+    // finish() writes the last row at the run's end tick.
+    const Tick epoch = ticks.back() - r.cycles;
+    EXPECT_GT(std::count_if(ticks.begin(), ticks.end(),
+                            [epoch](Tick t) { return t < epoch; }),
+              0);
+    EXPECT_NE(std::find(ticks.begin(), ticks.end(), epoch), ticks.end());
+    EXPECT_TRUE(std::is_sorted(ticks.begin(), ticks.end()));
+    std::remove(rc.binlog_out.c_str());
+}
+
+TEST(ObsIntegration, BinlogRowsMatchRegistrySnapshots)
+{
+    // Every snapshot the registry takes -- warm-up, epoch, measurement
+    // and the trailing one -- is one row of the binlog's series. A
+    // gauge that counts its own samples counts the snapshots.
+    SystemConfig cfg = Runner::paperConfig(L2Kind::Nurapid);
+    cfg.obs.metrics_interval = 20'000;
+    cfg.obs.binlog_out = tmpPath("rows.blg");
+    std::size_t samples = 0;
+    {
+        System sys(cfg);
+        sys.metrics()->addGauge("test.samples", [&samples]() {
+            return static_cast<double>(++samples);
+        });
+        for (Tick t = 20'000; t <= 100'000; t += 20'000)
+            sys.obsTick(t);  // warm-up
+        sys.resetStats();
+        sys.metrics()->snapshot(100'000);  // the epoch
+        for (Tick t = 120'000; t <= 200'000; t += 20'000)
+            sys.obsTick(t);
+        sys.finishObs(210'000);
+    }
+    std::vector<Tick> ticks =
+        rowTicks(obs::binlogMetricsCsv(readLog(cfg.obs.binlog_out)));
+    EXPECT_EQ(ticks.size(), samples);
+    ASSERT_FALSE(ticks.empty());
+    EXPECT_EQ(ticks.front(), 20'000u);
+    EXPECT_EQ(ticks.back(), 210'000u);
+    std::remove(cfg.obs.binlog_out.c_str());
 }
 
 } // namespace

@@ -12,8 +12,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -158,6 +161,26 @@ TEST(ParallelRunner, EmptyBatchReturnsEmpty)
 {
     ParallelRunner pool(4);
     EXPECT_TRUE(pool.run().empty());
+}
+
+TEST(ParallelRunnerDeathTest, SharedBinlogIsFatalBeforeAnyJobRuns)
+{
+    // Regression: two jobs streaming to one binlog_out used to exit 0
+    // with a file holding only one job's log, which the reader
+    // accepted.
+    const std::string path =
+        std::string(::testing::TempDir()) + "cnsim_shared_pool.blg";
+    std::remove(path.c_str());
+    ParallelRunner pool(2);
+    for (const char *w : {"oltp", "apache"}) {
+        RunConfig rc = quickRun();
+        rc.binlog_out = path;
+        pool.submit(Runner::paperConfig(L2Kind::Nurapid),
+                    workloads::byName(w), rc);
+    }
+    EXPECT_EXIT(pool.run(), ::testing::ExitedWithCode(1),
+                "two runs stream to one binlog");
+    EXPECT_FALSE(std::ifstream(path).good()) << "a job ran";
 }
 
 TEST(Variability, SameStatisticsForAnyWorkerCount)

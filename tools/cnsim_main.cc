@@ -28,11 +28,8 @@
  * coordinator).
  */
 
-#include <cctype>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -40,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "farm/cache.hh"
 #include "farm/coordinator.hh"
@@ -120,21 +118,19 @@ usage(const char *argv0)
         "  --stats            dump the full statistics block per run\n"
         "  --stats-csv <file> write per-run statistics as CSV "
         "(l2,workload,name,value)\n"
-        "  --trace-out <file> record the measurement epoch's events and "
-        "export them\n"
-        "                     here (grid sweeps insert <l2>-<workload> "
+        "  --binlog-out <file> stream the measurement epoch's events and "
+        "every\n"
+        "                     metrics snapshot to a CNBLG01 binary log; "
+        "cntrace\n"
+        "                     renders it (summary, dump, Chrome JSON, "
+        "metrics CSV)\n"
+        "                     (grid sweeps insert <l2>-<workload> "
         "before the\n"
         "                     extension)\n"
-        "  --trace-format <f> json (Chrome trace_event) | bin (compact, "
-        "for cntrace)\n"
-        "  --binlog-out <file> stream events + metrics to a CNBLG01 "
-        "binary log\n"
-        "                     (lock-free hot path; format offline with "
-        "cntrace)\n"
         "  --metrics-interval <N>  snapshot the metrics registry every N "
-        "ticks\n"
-        "  --metrics-out <file>    write the metrics time series CSV "
-        "here\n"
+        "ticks,\n"
+        "                     warm-up included, into the binlog (needs "
+        "--binlog-out)\n"
         "  --audit            run the online coherence-protocol auditor\n"
         "  --trace-capture <file>  save the canonical stream(s) as "
         "CNTRF001 (grids\n"
@@ -208,28 +204,6 @@ parseInterconnect(const std::string &s)
           s.c_str());
 }
 
-/**
- * Parse @p v as the value of numeric flag @p flag. The whole string
- * must be decimal digits -- no sign, whitespace or suffix -- naming a
- * value in [@p lo, @p hi]; anything else is a fatal() user error.
- */
-std::uint64_t
-parseCount(const std::string &flag, const char *v, std::uint64_t lo,
-           std::uint64_t hi)
-{
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long n = std::strtoull(v, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0')
-        fatal("%s needs a non-negative integer, got '%s'", flag.c_str(),
-              v);
-    if (errno == ERANGE || n < lo || n > hi)
-        fatal("%s must be in %llu..%llu, got '%s'", flag.c_str(),
-              static_cast<unsigned long long>(lo),
-              static_cast<unsigned long long>(hi), v);
-    return n;
-}
-
 std::vector<std::string>
 parseWorkloads(const std::string &s)
 {
@@ -286,10 +260,7 @@ main(int argc, char **argv)
     std::string trace_capture_path;
     std::string trace_replay_path;
     std::string stats_csv_path;
-    std::string trace_out;
     std::string binlog_out;
-    std::string metrics_out;
-    obs::TraceFormat trace_format = obs::TraceFormat::ChromeJson;
     std::uint64_t metrics_interval = 0;
     bool audit = false;
 
@@ -329,23 +300,10 @@ main(int argc, char **argv)
             want_stats = true;
         } else if (a == "--stats-csv") {
             stats_csv_path = next();
-        } else if (a == "--trace-out") {
-            trace_out = next();
         } else if (a == "--binlog-out") {
             binlog_out = next();
-        } else if (a == "--trace-format") {
-            std::string f = next();
-            if (f == "json")
-                trace_format = obs::TraceFormat::ChromeJson;
-            else if (f == "bin")
-                trace_format = obs::TraceFormat::Binary;
-            else
-                fatal("--trace-format must be json or bin, got '%s'",
-                      f.c_str());
         } else if (a == "--metrics-interval") {
             metrics_interval = count(0, any);
-        } else if (a == "--metrics-out") {
-            metrics_out = next();
         } else if (a == "--audit") {
             audit = true;
         } else if (a == "--no-cr") {
@@ -396,10 +354,10 @@ main(int argc, char **argv)
 
     rc.collect_stats_dump = want_stats;
     rc.collect_stats_csv = !stats_csv_path.empty();
-    rc.trace_format = trace_format;
-    // A metrics file without an explicit interval gets a usable default.
-    if (!metrics_out.empty() && metrics_interval == 0)
-        metrics_interval = 100'000;
+    // Metrics snapshots stream to the binlog and nowhere else.
+    if (metrics_interval > 0 && binlog_out.empty())
+        fatal("--metrics-interval needs --binlog-out: snapshots stream "
+              "to the binlog (render them with `cntrace csv`)");
 
     const bool ckpt =
         !ckpt_save_path.empty() || !ckpt_load_path.empty();
@@ -485,12 +443,7 @@ main(int argc, char **argv)
                       trace_replay_path.c_str(), run.replay->cores(),
                       cfg.num_cores);
             }
-            // Grid sweeps write one trace per run, tagged by cell.
-            if (!trace_out.empty())
-                run.trace_out =
-                    multi ? tagPath(trace_out, std::string(toString(kind)) +
-                                                   "-" + w)
-                          : trace_out;
+            // Grid sweeps write one binlog per run, tagged by cell.
             if (!binlog_out.empty())
                 run.binlog_out =
                     multi ? tagPath(binlog_out,
@@ -520,9 +473,6 @@ main(int argc, char **argv)
                 spec.tag_factor = tag_factor;
                 spec.audit = audit ? 1 : 0;
                 spec.metrics_interval = metrics_interval;
-                spec.trace_out = run.trace_out;
-                spec.trace_format =
-                    static_cast<std::uint8_t>(trace_format);
                 spec.binlog_out = run.binlog_out;
                 spec.workload = w;
                 spec.warmup = rc.warmup_instructions;
@@ -570,18 +520,12 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(r.cycles));
         if (want_stats)
             std::printf("%s\n", r.stats_dump.c_str());
-        if (audit || !trace_out.empty() || !binlog_out.empty()) {
-            inform("%s/%s: %llu trace events, %llu audited transitions",
+        if (audit || !binlog_out.empty())
+            inform("%s/%s: %llu binlog records, %llu audited transitions",
                    r.l2_kind.c_str(), r.workload.c_str(),
                    static_cast<unsigned long long>(r.trace_events),
                    static_cast<unsigned long long>(
                        r.audited_transitions));
-            if (r.trace_dropped)
-                warn("%s/%s: incomplete trace capture -- %llu events "
-                     "dropped past the max_events cap",
-                     r.l2_kind.c_str(), r.workload.c_str(),
-                     static_cast<unsigned long long>(r.trace_dropped));
-        }
     }
 
     if (!stats_csv_path.empty()) {
@@ -600,13 +544,6 @@ main(int argc, char **argv)
             }
         }
         writeTextFile(stats_csv_path, csv);
-    }
-    if (!metrics_out.empty()) {
-        for (const RunResult &r : results)
-            writeTextFile(multi ? tagPath(metrics_out,
-                                          r.l2_kind + "-" + r.workload)
-                                : metrics_out,
-                          r.metrics_csv);
     }
     if (!trace_capture_path.empty()) {
         // Save exactly what the grid consumed: the published prefix of

@@ -1,42 +1,36 @@
 /**
  * @file
- * cntrace: inspector for cnsim binary event traces.
+ * cntrace: offline inspector for cnsim's binary files.
  *
- * Reads a trace written with `cnsim --trace-out t.bin --trace-format
- * bin` and either summarizes it, dumps (filtered) events as text, or
- * converts it to Chrome trace_event JSON:
+ * Binary logs (CNBLG001, from `cnsim --binlog-out run.blg`) carry a
+ * run's events and metrics snapshots. summary/dump/json reconstruct
+ * the event stream from the embedded message registry, and `csv`
+ * renders the streamed metrics snapshots (warm-up included) as a
+ * time-series CSV:
  *
- *   cntrace summary t.bin
- *   cntrace dump t.bin --kind transition --core 2 --limit 50
- *   cntrace dump t.bin --addr 0x1f40 --component l2.nurapid
- *   cntrace json t.bin out.json
+ *   cntrace summary run.blg
+ *   cntrace dump run.blg --kind transition --core 2 --limit 50
+ *   cntrace dump run.blg --addr 0x1f40 --component l2.nurapid
+ *   cntrace json run.blg out.json
+ *   cntrace csv run.blg [out.csv]
  *
- * Filters intersect; --component matches any track whose registered
- * path contains the given substring.
+ * Dump filters intersect; --component matches any track whose
+ * registered path contains the given substring.
  *
  * Packed reference traces (CNTRF001, from `cnsim --trace-capture`)
  * are detected by magic and get their own summary/dump:
  *
  *   cntrace summary oltp.trf
  *   cntrace dump oltp.trf --core 1 --limit 20
- *
- * Binary logs (CNBLG001, from `cnsim --binlog-out run.blg`) are also
- * detected by magic: summary/dump/json reconstruct the event stream
- * offline from the embedded message registry, and `csv` renders the
- * streamed metrics snapshots as a time-series CSV:
- *
- *   cntrace summary run.blg
- *   cntrace dump run.blg --kind coreStall --limit 20
- *   cntrace json run.blg out.json
- *   cntrace csv run.blg [out.csv]
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "mem/packet.hh"
 #include "obs/binlog.hh"
@@ -54,20 +48,26 @@ void
 usage(const char *argv0)
 {
     std::printf(
-        "usage: %s <command> <trace.bin> [options]\n"
+        "usage: %s <command> <file> [options]\n"
+        "  <file> is a CNBLG01 binlog (cnsim --binlog-out) or a CNTRF001\n"
+        "  packed reference trace (cnsim --trace-capture; summary and "
+        "dump only)\n"
         "commands:\n"
-        "  summary <trace.bin>             per-kind/component/cause "
+        "  summary <run.blg>               per-kind/component/cause "
         "breakdown\n"
-        "  dump <trace.bin> [filters]      print events, one per line\n"
-        "  json <trace.bin> <out.json>     convert to Chrome "
+        "  dump <run.blg> [filters]        print events, one per line\n"
+        "  json <run.blg> <out.json>       convert to Chrome "
         "trace_event JSON\n"
-        "  csv <run.blg> [out.csv]         metrics time-series from a "
-        "CNBLG01 binlog\n"
+        "  csv <run.blg> [out.csv]         metrics time series, warm-up "
+        "included\n"
         "dump filters:\n"
         "  --kind <k>        busTx|transition|dgroup|l1BackInval|"
-        "resource|coreStall\n"
-        "  --core <N>        events initiated by/affecting core N\n"
-        "  --addr <A>        events for block address A (hex ok)\n"
+        "resource|coreStall|\n"
+        "                    directory\n"
+        "  --core <N>        events initiated by/affecting core N "
+        "(0..63)\n"
+        "  --addr <A>        events for block address A (decimal or "
+        "0x hex)\n"
         "  --component <s>   track path contains substring s\n"
         "  --limit <N>       stop after N matching events\n",
         argv0);
@@ -92,13 +92,6 @@ bool
 isPackedTrace(const std::string &path)
 {
     return hasMagic(path, "CNTRF001");
-}
-
-/** True when @p path starts with the CNBLG001 binlog magic. */
-bool
-isBinlog(const std::string &path)
-{
-    return hasMagic(path, "CNBLG001");
 }
 
 void
@@ -199,6 +192,8 @@ main(int argc, char **argv)
 
     const std::string cmd = argv[1];
     const std::string path = argv[2];
+    constexpr std::uint64_t any = std::numeric_limits<std::uint64_t>::max();
+    constexpr std::uint64_t max_core = 63;
 
     if (isPackedTrace(path)) {
         if (cmd == "summary") {
@@ -217,9 +212,9 @@ main(int argc, char **argv)
                 };
                 if (a == "--core") {
                     trf_core = static_cast<int>(
-                        std::strtol(next(), nullptr, 10));
+                        parseCount(a, next(), 0, max_core));
                 } else if (a == "--limit") {
-                    trf_limit = std::strtoull(next(), nullptr, 10);
+                    trf_limit = parseCount(a, next(), 0, any);
                 } else {
                     fatal("packed-trace dump supports --core/--limit, "
                           "not '%s'",
@@ -234,45 +229,31 @@ main(int argc, char **argv)
               cmd.c_str());
     }
 
-    std::vector<obs::TraceEvent> events;
-    std::vector<std::string> components;
+    obs::BinlogData data;
     std::string error;
-    std::uint64_t dropped = 0;
-    bool binlog = isBinlog(path);
-    if (binlog) {
-        obs::BinlogData data;
-        if (!obs::readBinlog(path, data, &error))
-            fatal("%s: %s", path.c_str(), error.c_str());
-        if (cmd == "csv") {
-            std::string csv = obs::binlogMetricsCsv(data);
-            if (argc >= 4) {
-                std::FILE *out = std::fopen(argv[3], "wb");
-                if (!out)
-                    fatal("cannot open '%s' for writing", argv[3]);
-                std::fwrite(csv.data(), 1, csv.size(), out);
-                std::fclose(out);
-                inform("%zu metric columns -> %s", data.metrics.size(),
-                       argv[3]);
-            } else {
-                std::printf("%s", csv.c_str());
-            }
-            return 0;
+    if (!obs::readBinlog(path, data, &error))
+        fatal("%s: %s", path.c_str(), error.c_str());
+    if (cmd == "csv") {
+        std::string csv = obs::binlogMetricsCsv(data);
+        if (argc >= 4) {
+            std::FILE *out = std::fopen(argv[3], "wb");
+            if (!out)
+                fatal("cannot open '%s' for writing", argv[3]);
+            std::fwrite(csv.data(), 1, csv.size(), out);
+            std::fclose(out);
+            inform("%zu metric columns -> %s", data.metrics.size(),
+                   argv[3]);
+        } else {
+            std::printf("%s", csv.c_str());
         }
-        events = obs::binlogEvents(data);
-        components = data.components;
-        dropped = data.dropped;
-    } else {
-        if (!obs::TraceSink::readBinary(path, events, components, &error,
-                                        &dropped))
-            fatal("%s: %s", path.c_str(), error.c_str());
+        return 0;
     }
+    const std::vector<obs::TraceEvent> events = obs::binlogEvents(data);
+    const std::vector<std::string> &components = data.components;
+    const std::uint64_t dropped = data.dropped;
     if (dropped)
-        warn("%s: incomplete capture -- %llu events dropped past the "
-             "max_events cap",
+        warn("%s: incomplete capture -- %llu events dropped",
              path.c_str(), static_cast<unsigned long long>(dropped));
-
-    if (cmd == "csv")
-        fatal("csv applies to CNBLG001 binlogs, not '%s'", path.c_str());
 
     if (cmd == "summary") {
         std::printf("%s",
@@ -313,14 +294,14 @@ main(int argc, char **argv)
                 fatal("unknown event kind '%s'", argv[i]);
             have_kind = true;
         } else if (a == "--core") {
-            core = static_cast<int>(std::strtol(next(), nullptr, 10));
+            core = static_cast<int>(parseCount(a, next(), 0, max_core));
         } else if (a == "--addr") {
-            addr = std::strtoull(next(), nullptr, 0);
+            addr = static_cast<Addr>(parseCount(a, next(), 0, any, true));
             have_addr = true;
         } else if (a == "--component") {
             comp_substr = next();
         } else if (a == "--limit") {
-            limit = std::strtoull(next(), nullptr, 10);
+            limit = parseCount(a, next(), 0, any);
         } else {
             usage(argv[0]);
             fatal("unknown option '%s'", a.c_str());
