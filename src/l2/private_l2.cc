@@ -9,7 +9,9 @@ namespace cnsim
 
 PrivateL2::PrivateL2(const PrivateL2Params &p, Interconnect &bus,
                      MainMemory &mem)
-    : L2Org("privateL2"), params(p), bus(bus), memory(mem)
+    : L2Org("privateL2"), params(p),
+      all_cores(allCores(p.num_cores)),
+      bus(bus), memory(mem)
 {
     wants_l1_hit_notes = true;
     unsigned sets = static_cast<unsigned>(
@@ -80,12 +82,11 @@ PrivateL2::access(const MemAccess &acc, Tick at)
         cnsim_assert(b->state == CohState::Shared, "bad upgrade state");
         Tick tb = bus.transaction(BusCmd::BusUpg, c, baddr, t);
         n_upgrades.inc();
-        for (CoreId o = 0; o < params.num_cores; ++o) {
-            if (o == c)
-                continue;
+        // invalidateCopy posts DirPut, so iterate this copy of the set.
+        forEachCore(peersOf(c, baddr), [&](CoreId o) {
             if (Block *ob = caches[o].find(baddr))
                 invalidateCopy(o, ob, obs::TransCause::BusUpg, tb);
-        }
+        });
         emitTrans(tb, c, baddr, b->state, CohState::Modified,
                   obs::TransCause::PrWr);
         b->state = CohState::Modified;
@@ -99,13 +100,14 @@ PrivateL2::access(const MemAccess &acc, Tick at)
     // Miss: broadcast on the bus and snoop the other caches.
     BusCmd cmd = acc.op == MemOp::Store ? BusCmd::BusRdX : BusCmd::BusRd;
     Tick tb = bus.transaction(cmd, c, baddr, t);
+    // Read once, after this access's transaction: see
+    // Interconnect::holders for why it stays a superset throughout.
+    CoreMask peers = peersOf(c, baddr);
 
     bool any_dirty = false;
     bool any_clean = false;
     CoreId supplier = invalid_id;
-    for (CoreId o = 0; o < params.num_cores; ++o) {
-        if (o == c)
-            continue;
+    forEachCore(peers, [&](CoreId o) {
         if (Block *ob = caches[o].find(baddr)) {
             if (isDirty(ob->state)) {
                 any_dirty = true;
@@ -116,7 +118,7 @@ PrivateL2::access(const MemAccess &acc, Tick at)
                     supplier = o;
             }
         }
-    }
+    });
 
     AccessClass cls = any_dirty ? AccessClass::RWSMiss
                       : any_clean ? AccessClass::ROSMiss
@@ -130,12 +132,10 @@ PrivateL2::access(const MemAccess &acc, Tick at)
         Tick sg = ports[supplier]->acquire(tb, params.occupancy);
         data_at = sg + params.latency;
 
-        for (CoreId o = 0; o < params.num_cores; ++o) {
-            if (o == c)
-                continue;
+        forEachCore(peers, [&](CoreId o) {
             Block *ob = caches[o].find(baddr);
             if (!ob)
-                continue;
+                return;
             if (cmd == BusCmd::BusRdX) {
                 invalidateCopy(o, ob, obs::TransCause::BusRdX, tb);
             } else {
@@ -156,7 +156,7 @@ PrivateL2::access(const MemAccess &acc, Tick at)
                 // silent-store rights.
                 downgradeL1(o, baddr, false);
             }
-        }
+        });
     } else {
         data_at = memory.read(tb);
     }
@@ -244,10 +244,18 @@ void
 PrivateL2::checkBlockInvariants(Addr addr) const
 {
     Addr baddr = blockAlign(addr, params.block_size);
+    CoreMask holders = bus.holders(baddr);
     int valid = 0, priv = 0;
     for (int c = 0; c < params.num_cores; ++c) {
         if (const Block *b = caches[c].find(baddr)) {
             cnsim_assert(isValid(b->state), "valid block in state I");
+            // The peer loops visit only the holder set; a holder missing
+            // from it would be silently skipped by a snoop or invalidate.
+            cnsim_assert(holders & (CoreMask{1} << c),
+                         "core%d holds %llx but the interconnect's holder "
+                         "set 0x%llx omits it",
+                         c, static_cast<unsigned long long>(baddr),
+                         static_cast<unsigned long long>(holders));
             ++valid;
             priv += isPrivateState(b->state) ? 1 : 0;
         }

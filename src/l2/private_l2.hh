@@ -94,11 +94,20 @@ class PrivateL2 : public L2Org
     void invalidateCopy(CoreId core, Block *b, obs::TransCause cause,
                         Tick t);
 
+    /** Cores other than @p self that may hold @p addr's block
+     *  (Interconnect::holders, clipped to this cache's cores). */
+    CoreMask peersOf(CoreId self, Addr addr) const
+    {
+        return bus.holders(addr) & all_cores & ~(CoreMask{1} << self);
+    }
+
     /** Emit a MESI transition on @p core's track. */
     void emitTrans(Tick t, CoreId core, Addr addr, CohState olds,
                    CohState news, obs::TransCause cause);
 
     PrivateL2Params params;
+    /** One bit per core of this cache. */
+    CoreMask all_cores;
     Interconnect &bus;
     MainMemory &memory;
     std::vector<SetAssocArray<Block>> caches;

@@ -73,6 +73,13 @@ class SnoopBus : public Interconnect
     void postedTransaction(BusCmd cmd, CoreId src, Addr addr,
                            Tick at) override;
 
+    /** Every core: a broadcast medium tracks no membership, so each
+     *  snoop reaches all tag arrays, as in the paper. */
+    [[nodiscard]] CoreMask holders(Addr) const override
+    {
+        return ~CoreMask{0};
+    }
+
     void regStats(StatGroup &group) override;
     void resetStats() override;
 

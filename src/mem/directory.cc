@@ -68,15 +68,15 @@ DirectoryInterconnect::fanOut(std::uint64_t mask, CoreId skip, int home,
                               Tick at, bool acks)
 {
     Tick done = at;
-    for (int c = 0; c < net.nodes(); ++c) {
-        if (!(mask & (1ull << c)) || c == skip)
-            continue;
+    if (skip != invalid_id)
+        mask &= ~(CoreMask{1} << skip);
+    forEachCore(mask, [&](CoreId c) {
         Tick arrive = net.send(home, c, at);
         if (acks)
             done = std::max(done, net.send(c, home, arrive));
         else
             done = std::max(done, arrive);
-    }
+    });
     return acks ? done : at;
 }
 

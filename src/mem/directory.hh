@@ -13,11 +13,13 @@
  *
  * Protocol *logic* still lives in the L2 organizations, which have the
  * global view; the directory mirrors membership from the
- * (cmd, src, addr) stream to (a) time the multicasts and (b) hand the
+ * (cmd, src, addr) stream to (a) time the multicasts, (b) hand the
  * ProtocolAuditor an independent reading of who should hold each
- * block. Anonymous traffic (invalid src) is timing-only and never
- * touches membership: flush-to-memory writebacks must not clobber the
- * ownership a preceding BusRdX just established for the new writer.
+ * block, and (c) name, through holders(), the only peers the
+ * organizations need to probe. Anonymous traffic (invalid src) is
+ * timing-only and never touches membership: flush-to-memory
+ * writebacks must not clobber the ownership a preceding BusRdX just
+ * established for the new writer.
  *
  * Silent clean evictions and snoop-driven invalidations would strand
  * sharer bits, so the directory answers wantsEvictionNotices() with
@@ -102,6 +104,12 @@ class DirectoryInterconnect : public Interconnect
     [[nodiscard]] bool wantsEvictionNotices() const override
     {
         return true;
+    }
+
+    /** The block's sharer set; the owner is always a member. */
+    [[nodiscard]] CoreMask holders(Addr addr) const override
+    {
+        return sharersOf(addr);
     }
 
     void regStats(StatGroup &group) override;

@@ -21,12 +21,19 @@
  * timing, ordering, and per-command accounting. The directory
  * additionally mirrors sharer membership from the (cmd, src, addr)
  * stream, which is why the org-facing entry points carry the requestor
- * and block address.
+ * and block address. That mirror also drives the organizations' peer
+ * lookups: holders() names the cores that may hold a block, so a
+ * coherence action probes those tag arrays instead of all of them --
+ * every core on the bus, only the sharer set under a directory. The
+ * set only grows while an access is in flight (holders() gives the
+ * argument), and the per-block audit checks that it covers every
+ * copy.
  */
 
 #ifndef CNSIM_MEM_INTERCONNECT_HH
 #define CNSIM_MEM_INTERCONNECT_HH
 
+#include <bit>
 #include <cstdint>
 
 #include "common/logging.hh"
@@ -66,6 +73,26 @@ toString(InterconnectKind k)
       case InterconnectKind::Ring: return "ring";
     }
     cnsim_unreachable("InterconnectKind");
+}
+
+/** A set of cores, bit c for core c (at most 64 cores). */
+using CoreMask = std::uint64_t;
+
+/** The set of cores 0 .. @p num_cores - 1. */
+constexpr CoreMask
+allCores(int num_cores)
+{
+    return num_cores >= 64 ? ~CoreMask{0}
+                           : (CoreMask{1} << num_cores) - 1;
+}
+
+/** Call @p f(c) for each core c in @p mask, in ascending order. */
+template <typename F>
+inline void
+forEachCore(CoreMask mask, F &&f)
+{
+    for (; mask; mask &= mask - 1)
+        f(static_cast<CoreId>(std::countr_zero(mask)));
 }
 
 /** Timing/accounting model of the coherence interconnect. */
@@ -118,6 +145,30 @@ class Interconnect
     {
         return false;
     }
+
+    /**
+     * A conservative set of the cores that may hold @p addr's block:
+     * every core holding a copy is a member, extra members are
+     * allowed. The L2 organizations visit only these cores' tag
+     * arrays when they snoop, invalidate, update or repoint peers.
+     *
+     * Why one reading serves a whole access, taken right after that
+     * access's transaction(): a member bit is cleared only by the
+     * departing core's own eviction notice (WrBack or DirPut with a
+     * valid src), posted as that core's copy goes away. Every request
+     * adds its requestor. So the set read after the request is a
+     * superset of the holders before it plus the requestor, and no
+     * other core gains a copy of the block while its access is in
+     * flight. A loop that posts DirPut as it invalidates must iterate
+     * a copy taken before the loop, never re-read the set mid-way.
+     *
+     * The snooping bus tracks nothing and returns every core. The
+     * per-block audit (checkBlockInvariants under --audit) asserts
+     * that every core holding a copy is in this set, so a directory
+     * that under-reports a holder dies at the next safe point instead
+     * of silently skipping a peer.
+     */
+    [[nodiscard]] virtual CoreMask holders(Addr addr) const = 0;
 
     virtual void regStats(StatGroup &group) = 0;
     virtual void resetStats() = 0;

@@ -19,7 +19,9 @@ constexpr Addr no_pin = static_cast<Addr>(-1);
 
 CmpNurapid::CmpNurapid(const NurapidParams &p, Interconnect &bus,
                        MainMemory &mem)
-    : L2Org("cmpNurapid"), params(p), bus(bus), memory(mem),
+    : L2Org("cmpNurapid"), params(p),
+      all_cores(allCores(p.num_cores)),
+      bus(bus), memory(mem),
       pref(p.num_cores, p.num_dgroups, p.dgroup_latencies),
       xbar(p.num_dgroups),
       data(p.num_dgroups,
@@ -102,15 +104,13 @@ CmpNurapid::accessDGroup(CoreId core, DGroupId dg, Tick at)
 }
 
 CmpNurapid::SnoopResult
-CmpNurapid::snoop(CoreId requestor, Addr addr) const
+CmpNurapid::snoop(CoreId requestor, Addr addr, CoreMask holders) const
 {
     SnoopResult sr;
-    for (int o = 0; o < params.num_cores; ++o) {
-        if (o == requestor)
-            continue;
+    forEachCore(holders & ~(CoreMask{1} << requestor), [&](CoreId o) {
         const TagEntry *te = tags[o]->find(addr);
         if (!te)
-            continue;
+            return;
         if (isDirty(te->state)) {
             // The dirty signal: an M or C copy exists. The dirty
             // responder's pointer wins over any clean one.
@@ -124,21 +124,21 @@ CmpNurapid::snoop(CoreId requestor, Addr addr) const
                 sr.supplier_fwd = te->fwd;
             }
         }
-    }
+    });
     return sr;
 }
 
 std::vector<FwdPtr>
-CmpNurapid::framesOf(Addr addr) const
+CmpNurapid::framesOf(Addr addr, CoreMask holders) const
 {
     std::vector<FwdPtr> out;
-    for (int c = 0; c < params.num_cores; ++c) {
+    forEachCore(holders, [&](CoreId c) {
         const TagEntry *te = tags[c]->find(addr);
         if (te && te->fwd.valid() &&
             std::find(out.begin(), out.end(), te->fwd) == out.end()) {
             out.push_back(te->fwd);
         }
-    }
+    });
     return out;
 }
 
@@ -160,6 +160,7 @@ CmpNurapid::evictSharedFrame(const FwdPtr &fwd, Tick at)
     Frame &f = data.at(fwd.dgroup, fwd.frame);
     cnsim_assert(f.valid, "evicting an invalid shared frame");
     Addr addr = f.addr;
+    CoreMask holders = holdersOf(addr);
     const TagEntry &home = tags[f.rev.core]->at(f.rev.set, f.rev.way);
     cnsim_assert(home.valid && home.addr == addr,
                  "dangling reverse pointer on shared eviction");
@@ -175,7 +176,7 @@ CmpNurapid::evictSharedFrame(const FwdPtr &fwd, Tick at)
     n_bus_repl.inc();
     trace("BusRepl %llx from dg%d frame %d",
           static_cast<unsigned long long>(addr), fwd.dgroup, fwd.frame);
-    for (int c = 0; c < params.num_cores; ++c) {
+    forEachCore(holders, [&](CoreId c) {
         TagEntry *te = tags[c]->find(addr);
         if (te && te->fwd == fwd) {
             // Emit before asserting so an auditing run dies with the
@@ -197,7 +198,7 @@ CmpNurapid::evictSharedFrame(const FwdPtr &fwd, Tick at)
             if (bus.wantsEvictionNotices())
                 bus.postedTransaction(BusCmd::DirPut, c, addr, at);
         }
-    }
+    });
     emitDGroup(at, f.rev.core, addr, obs::DGroupOp::Eviction, fwd.dgroup);
     data.free(fwd.dgroup, fwd.frame);
     n_shared_evictions.inc();
@@ -382,7 +383,8 @@ CmpNurapid::maybePromote(CoreId core, TagEntry *e, Tick at)
 void
 CmpNurapid::repointAllSharers(Addr addr, const FwdPtr &fwd,
                               CoreId except_l1, bool invalidate_l1,
-                              obs::TransCause cause, Tick t)
+                              obs::TransCause cause, Tick t,
+                              CoreMask holders)
 {
     auto repoint = [&](int c) {
         TagEntry *te = tags[c]->find(addr);
@@ -404,16 +406,15 @@ CmpNurapid::repointAllSharers(Addr addr, const FwdPtr &fwd,
     // Existing sharers (the old owner included) move to C first and
     // the initiator joins last, so an auditor watching the transition
     // stream never sees a joined C copy coexist with a private one.
-    for (int c = 0; c < params.num_cores; ++c)
-        if (c != except_l1)
-            repoint(c);
+    forEachCore(holders & ~(CoreMask{1} << except_l1), repoint);
     repoint(except_l1);
 }
 
 void
-CmpNurapid::freeOtherFrames(Addr addr, const FwdPtr &keep)
+CmpNurapid::freeOtherFrames(Addr addr, const FwdPtr &keep,
+                            CoreMask holders)
 {
-    for (const FwdPtr &f : framesOf(addr)) {
+    for (const FwdPtr &f : framesOf(addr, holders)) {
         if (!(f == keep))
             data.free(f.dgroup, f.frame);
     }
@@ -507,17 +508,21 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             } else {
                 // Write to a clean shared block: BusUpg.
                 Tick tb = bus.transaction(BusCmd::BusUpg, c, baddr, t);
+                CoreMask holders = holdersOf(baddr);
+                CoreMask peers = holders & ~(CoreMask{1} << c);
                 bool others = false;
-                for (int o = 0; o < params.num_cores && !others; ++o)
-                    others = o != c && tags[o]->find(baddr) != nullptr;
+                forEachCore(peers, [&](CoreId o) {
+                    others = others || tags[o]->find(baddr) != nullptr;
+                });
 
                 if (others && params.enable_isc) {
                     // In-situ communication: one dirty copy (ours),
                     // every sharer joins C pointing at it.
                     FwdPtr keep = e->fwd;
-                    freeOtherFrames(baddr, keep);
+                    freeOtherFrames(baddr, keep, holders);
                     repointAllSharers(baddr, keep, c, true,
-                                      obs::TransCause::BusUpg, tb);
+                                      obs::TransCause::BusUpg, tb,
+                                      holders);
                     Tick td = accessDGroup(c, keep.dgroup, tb);
                     emitDGroup(td, c, baddr, obs::DGroupOp::Hit,
                                keep.dgroup, keep.dgroup == my_closest);
@@ -536,10 +541,8 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                     // MESI-style upgrade (no other sharers, or ISC
                     // disabled): we become the sole M copy in our
                     // closest d-group.
-                    std::vector<FwdPtr> old = framesOf(baddr);
-                    for (int o = 0; o < params.num_cores; ++o) {
-                        if (o == c)
-                            continue;
+                    std::vector<FwdPtr> old = framesOf(baddr, holders);
+                    forEachCore(peers, [&](CoreId o) {
                         if (TagEntry *te = tags[o]->find(baddr)) {
                             emitTrans(tb, o, baddr, te->state,
                                       CohState::Invalid,
@@ -551,7 +554,7 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                                 bus.postedTransaction(BusCmd::DirPut, o,
                                                       baddr, tb);
                         }
-                    }
+                    });
                     for (const FwdPtr &f : old)
                         data.free(f.dgroup, f.frame);
                     FwdPtr nf = placeInClosest(c, invalid_id);
@@ -592,10 +595,12 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                 emitTrans(tb, c, baddr, CohState::Communication,
                           CohState::Communication, obs::TransCause::PrWr,
                           obs::trans_flag_broadcast);
-                for (int o = 0; o < params.num_cores; ++o) {
-                    if (o != c && tags[o]->find(baddr))
+                CoreMask peers =
+                    holdersOf(baddr) & ~(CoreMask{1} << c);
+                forEachCore(peers, [&](CoreId o) {
+                    if (tags[o]->find(baddr))
                         invalidateL1(o, baddr);
-                }
+                });
                 td = accessDGroup(c, dg, tb);
             } else {
                 td = accessDGroup(c, dg, t);
@@ -621,7 +626,11 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
     // ---- Tag miss: broadcast on the bus and snoop. ----
     BusCmd cmd = store ? BusCmd::BusRdX : BusCmd::BusRd;
     Tick tb = bus.transaction(cmd, c, baddr, t);
-    SnoopResult sr = snoop(c, baddr);
+    // The holder set read once, after this access's transaction: see
+    // Interconnect::holders for why it stays a superset throughout.
+    CoreMask holders = holdersOf(baddr);
+    CoreMask peers = holders & ~(CoreMask{1} << c);
+    SnoopResult sr = snoop(c, baddr, holders);
     AccessClass cls = sr.dirty ? AccessClass::RWSMiss
                       : sr.clean ? AccessClass::ROSMiss
                       : AccessClass::CapacityMiss;
@@ -644,7 +653,7 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                 // repoint moves our fresh Invalid tag (and every
                 // sharer) to C, so no state pre-assignment here.
                 repointAllSharers(baddr, old, c, false,
-                                  obs::TransCause::BusRd, tr);
+                                  obs::TransCause::BusRd, tr, holders);
                 emitDGroup(tr, c, baddr, obs::DGroupOp::PointerJoin,
                            old.dgroup, true);
             } else {
@@ -653,9 +662,9 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                 fr.valid = true;
                 fr.addr = baddr;
                 fr.rev = my_pos;
-                freeOtherFrames(baddr, nf);
+                freeOtherFrames(baddr, nf, holders);
                 repointAllSharers(baddr, nf, c, false,
-                                  obs::TransCause::BusRd, tr);
+                                  obs::TransCause::BusRd, tr, holders);
                 emitDGroup(tr, c, baddr, obs::DGroupOp::Replication,
                            nf.dgroup, true);
             }
@@ -707,16 +716,14 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             // Clean copy on chip: controlled replication returns a
             // pointer on the pointer wires instead of the data block;
             // we make a tag copy but no data copy (Figure 3b).
-            for (int o = 0; o < params.num_cores; ++o) {
-                if (o == c)
-                    continue;
+            forEachCore(peers, [&](CoreId o) {
                 TagEntry *te = tags[o]->find(baddr);
                 if (te && te->state == CohState::Exclusive) {
                     emitTrans(tb, o, baddr, CohState::Exclusive,
                               CohState::Shared, obs::TransCause::BusRd);
                     te->state = CohState::Shared;
                 }
-            }
+            });
             Tick tr = accessDGroup(c, sr.supplier_fwd.dgroup, tb);
             if (params.enable_cr &&
                 params.replication != ReplicationPolicy::OnFirstUse) {
@@ -769,7 +776,7 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
             // to the reader(s) (Section 3.2).
             FwdPtr keep = sr.supplier_fwd;
             repointAllSharers(baddr, keep, c, true,
-                              obs::TransCause::BusRdX, tb);
+                              obs::TransCause::BusRdX, tb, holders);
             Tick tw = accessDGroup(c, keep.dgroup, tb);
             emitDGroup(tw, c, baddr, obs::DGroupOp::PointerJoin,
                        keep.dgroup, keep.dgroup == my_closest);
@@ -789,10 +796,8 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                 bus.postedTransaction(BusCmd::WrBack, tb);
                 n_writebacks.inc();
             }
-            std::vector<FwdPtr> old = framesOf(baddr);
-            for (int o = 0; o < params.num_cores; ++o) {
-                if (o == c)
-                    continue;
+            std::vector<FwdPtr> old = framesOf(baddr, holders);
+            forEachCore(peers, [&](CoreId o) {
                 if (TagEntry *te = tags[o]->find(baddr)) {
                     emitTrans(tb, o, baddr, te->state, CohState::Invalid,
                               obs::TransCause::BusRdX);
@@ -803,7 +808,7 @@ CmpNurapid::access(const MemAccess &acc, Tick at)
                         bus.postedTransaction(BusCmd::DirPut, o, baddr,
                                               tb);
                 }
-            }
+            });
             for (const FwdPtr &f : old)
                 data.free(f.dgroup, f.frame);
             FwdPtr nf = placeInClosest(c, freed_dg);
@@ -959,19 +964,29 @@ void
 CmpNurapid::checkBlockInvariants(Addr addr) const
 {
     // The per-block slice of checkInvariants(), cheap enough to run
-    // after every access under --audit: pointer agreement and MESIC
-    // state rules for one block.
+    // after every access under --audit: pointer agreement, MESIC state
+    // rules and holder-set coverage for one block, O(cores) probes.
+    // Orphan and duplicate frames are left to checkInvariants()'s
+    // global frame scan at the end of the run.
     Addr baddr = blockAlign(addr, params.block_size);
+    CoreMask holders = bus.holders(baddr);
     int tag_copies = 0;
     int s_copies = 0;
     int c_copies = 0;
     int priv_copies = 0;
-    bool dirty = false;
+    FwdPtr dirty_fwd;
     for (int c = 0; c < params.num_cores; ++c) {
         const TagEntry *te = tags[c]->find(baddr);
         if (!te)
             continue;
         ++tag_copies;
+        // The peer loops visit only the holder set; a holder missing
+        // from it would be silently skipped by a snoop or invalidate.
+        cnsim_assert(holders & (CoreMask{1} << c),
+                     "core%d holds %llx but the interconnect's holder "
+                     "set 0x%llx omits it",
+                     c, static_cast<unsigned long long>(baddr),
+                     static_cast<unsigned long long>(holders));
         cnsim_assert(isValid(te->state), "valid tag of %llx in state I",
                      static_cast<unsigned long long>(baddr));
         cnsim_assert(te->fwd.valid(), "valid tag of %llx without fwd ptr",
@@ -988,7 +1003,18 @@ CmpNurapid::checkBlockInvariants(Addr addr) const
         s_copies += te->state == CohState::Shared;
         c_copies += te->state == CohState::Communication;
         priv_copies += isPrivateState(te->state) ? 1 : 0;
-        dirty = dirty || isDirty(te->state);
+        if (isDirty(te->state)) {
+            // A dirty block has one data copy: every M/C tag copy
+            // points at the same frame.
+            if (!dirty_fwd.valid())
+                dirty_fwd = te->fwd;
+            cnsim_assert(te->fwd == dirty_fwd,
+                         "dirty block %llx has copies in two frames "
+                         "(dg%d frame %d, dg%d frame %d)",
+                         static_cast<unsigned long long>(baddr),
+                         dirty_fwd.dgroup, dirty_fwd.frame,
+                         te->fwd.dgroup, te->fwd.frame);
+        }
     }
     if (tag_copies == 0)
         return;
@@ -1000,12 +1026,6 @@ CmpNurapid::checkBlockInvariants(Addr addr) const
                          (s_copies == 0 || c_copies == 0),
                      "mixed S/C copies of %llx",
                      static_cast<unsigned long long>(baddr));
-    }
-    if (dirty) {
-        cnsim_assert(framesHolding(baddr) == 1,
-                     "dirty block %llx has %d frames",
-                     static_cast<unsigned long long>(baddr),
-                     framesHolding(baddr));
     }
 }
 

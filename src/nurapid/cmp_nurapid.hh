@@ -124,6 +124,11 @@ class CmpNurapid : public L2Org
     /** Number of data frames currently holding @p addr (tests). */
     [[nodiscard]] int framesHolding(Addr addr) const;
 
+    /** Mutable pointer state, for tests that plant corruption the
+     *  invariant checks must catch. */
+    NuDataArray &dataArrayForTest() { return data; }
+    NuTagArray &tagArrayForTest(CoreId core) { return *tags[core]; }
+
     /** Valid-frame count of a d-group (capacity-stealing studies). */
     [[nodiscard]] unsigned dgroupOccupancy(DGroupId dg) const
     {
@@ -182,7 +187,15 @@ class CmpNurapid : public L2Org
         FwdPtr supplier_fwd;     //!< the responder's forward pointer
     };
 
-    SnoopResult snoop(CoreId requestor, Addr addr) const;
+    /** Snoop the tag arrays of @p holders other than @p requestor. */
+    SnoopResult snoop(CoreId requestor, Addr addr, CoreMask holders) const;
+
+    /** Cores that may hold @p addr's block (Interconnect::holders,
+     *  clipped to this cache's cores). */
+    CoreMask holdersOf(Addr addr) const
+    {
+        return bus.holders(addr) & all_cores;
+    }
 
     /** Latency-composed access to a d-group through the crossbar. */
     Tick accessDGroup(CoreId core, DGroupId dg, Tick at);
@@ -204,7 +217,10 @@ class CmpNurapid : public L2Org
     /**
      * Evict the shared data copy in @p fwd: BusRepl on the bus, all tag
      * copies pointing at the frame invalidated (with their L1 blocks),
-     * writeback if dirty, frame freed.
+     * writeback if dirty, frame freed. Reads the evicted block's
+     * holder set itself, before its loop posts any DirPut: the block
+     * is a replacement victim (never the pinned in-flight block) or
+     * the in-flight block on a hit that issued no transaction.
      */
     void evictSharedFrame(const FwdPtr &fwd, Tick at);
 
@@ -227,18 +243,20 @@ class CmpNurapid : public L2Org
     void maybePromote(CoreId core, TagEntry *e, Tick at);
 
     /**
-     * Move all tag copies of @p addr to state C pointing at @p fwd,
-     * emitting a MESIC transition per copy (@p cause, at tick @p t).
+     * Move all tag copies of @p addr in @p holders to state C pointing
+     * at @p fwd, emitting a MESIC transition per copy (@p cause, at
+     * tick @p t).
      */
     void repointAllSharers(Addr addr, const FwdPtr &fwd, CoreId except_l1,
                            bool invalidate_l1, obs::TransCause cause,
-                           Tick t);
+                           Tick t, CoreMask holders);
 
     /** Free every frame holding @p addr except @p keep. */
-    void freeOtherFrames(Addr addr, const FwdPtr &keep);
+    void freeOtherFrames(Addr addr, const FwdPtr &keep, CoreMask holders);
 
-    /** Collect the distinct frames holding @p addr via the tag copies. */
-    std::vector<FwdPtr> framesOf(Addr addr) const;
+    /** Collect the distinct frames holding @p addr via the tag copies
+     *  of @p holders. */
+    std::vector<FwdPtr> framesOf(Addr addr, CoreMask holders) const;
 
     void trace(const char *fmt, ...) __attribute__((format(printf, 2, 3)));
 
@@ -252,6 +270,8 @@ class CmpNurapid : public L2Org
                     DGroupId dg, bool closest = false);
 
     NurapidParams params;
+    /** One bit per core of this cache. */
+    CoreMask all_cores;
     Interconnect &bus;
     MainMemory &memory;
     PrefTable pref;

@@ -232,18 +232,21 @@ randomStream(std::uint64_t seed, int n, int cores, std::uint32_t pool,
 
 /**
  * Drive the same stream through the same organization type over the
- * bus and over the directory; classifications and final per-core
- * states must match, and every surviving valid copy must be covered
- * by the directory's sharer set.
+ * bus and over the directory on fabric @p kind; classifications and
+ * final per-core states must match, and every surviving valid copy
+ * must be covered by the directory's sharer set. On the directory the
+ * orgs probe only holders(), so this also shows that the sharer set
+ * names every peer the bus-wide snoop would have found.
  */
 template <typename OrgT, typename ParamsT>
 void
 expectInterconnectEquivalence(const ParamsT &params, int cores,
-                              CohMode mode, std::uint64_t seed)
+                              InterconnectKind kind, CohMode mode,
+                              std::uint64_t seed)
 {
     MainMemory m1, m2;
     SnoopBus bus;
-    DirectoryInterconnect dir(InterconnectKind::Mesh, cores, blk, mode);
+    DirectoryInterconnect dir(kind, cores, blk, mode);
     OrgT on_bus(params, bus, m1);
     OrgT on_dir(params, dir, m2);
     on_bus.setL1Hooks([](CoreId, Addr) {}, [](CoreId, Addr, bool) {});
@@ -306,53 +309,82 @@ smallNurapid(int cores)
 TEST(DirectoryEquivalence, PrivateMesiMatchesBusAt4Cores)
 {
     expectInterconnectEquivalence<PrivateL2>(smallPrivate(4), 4,
+                                             InterconnectKind::Mesh,
                                              CohMode::Mesi, 101);
 }
 
 TEST(DirectoryEquivalence, PrivateMesiMatchesBusAt8Cores)
 {
     expectInterconnectEquivalence<PrivateL2>(smallPrivate(8), 8,
+                                             InterconnectKind::Mesh,
                                              CohMode::Mesi, 103);
 }
 
 TEST(DirectoryEquivalence, PrivateMesiMatchesBusAt16Cores)
 {
     expectInterconnectEquivalence<PrivateL2>(smallPrivate(16), 16,
+                                             InterconnectKind::Mesh,
                                              CohMode::Mesi, 107);
+}
+
+TEST(DirectoryEquivalence, PrivateMesiMatchesBusAt16CoresRing)
+{
+    expectInterconnectEquivalence<PrivateL2>(smallPrivate(16), 16,
+                                             InterconnectKind::Ring,
+                                             CohMode::Mesi, 131);
 }
 
 TEST(DirectoryEquivalence, UpdateProtocolMatchesBus)
 {
     expectInterconnectEquivalence<UpdateL2>(smallPrivate(8), 8,
+                                            InterconnectKind::Mesh,
                                             CohMode::WriteUpdate, 109);
 }
 
 TEST(DirectoryEquivalence, NurapidMesicMatchesBusAt4Cores)
 {
     expectInterconnectEquivalence<CmpNurapid>(smallNurapid(4), 4,
+                                              InterconnectKind::Mesh,
                                               CohMode::Mesic, 113);
 }
 
 TEST(DirectoryEquivalence, NurapidMesicMatchesBusAt8Cores)
 {
     expectInterconnectEquivalence<CmpNurapid>(smallNurapid(8), 8,
+                                              InterconnectKind::Mesh,
                                               CohMode::Mesic, 127);
 }
 
-TEST(DirectoryEquivalence, AuditorChecksDirectoryReadingsCleanly)
+TEST(DirectoryEquivalence, NurapidMesicMatchesBusAt16CoresMesh)
 {
-    // CMP-NuRAPID at 8 cores over the mesh with the full MESIC auditor
-    // attached: the directory's per-block readings must agree with the
-    // audited per-core states at every safe point.
-    const int cores = 8;
+    expectInterconnectEquivalence<CmpNurapid>(smallNurapid(16), 16,
+                                              InterconnectKind::Mesh,
+                                              CohMode::Mesic, 137);
+}
+
+TEST(DirectoryEquivalence, NurapidMesicMatchesBusAt16CoresRing)
+{
+    expectInterconnectEquivalence<CmpNurapid>(smallNurapid(16), 16,
+                                              InterconnectKind::Ring,
+                                              CohMode::Mesic, 139);
+}
+
+/**
+ * Run random traffic through @p OrgT over @p dir with the full
+ * auditor attached and its per-block check after every access.
+ * @return the number of audited transitions.
+ */
+template <typename OrgT, typename ParamsT>
+std::uint64_t
+auditedRun(const ParamsT &params, DirectoryInterconnect &dir, int cores,
+           obs::AuditProtocol proto)
+{
     MainMemory mem;
-    DirectoryInterconnect dir(InterconnectKind::Mesh, cores, blk,
-                              CohMode::Mesic);
-    CmpNurapid l2(smallNurapid(cores), dir, mem);
+    OrgT l2(params, dir, mem);
     l2.setL1Hooks([](CoreId, Addr) {}, [](CoreId, Addr, bool) {});
 
     obs::TraceSink sink;
-    obs::ProtocolAuditor auditor(obs::AuditProtocol::Mesic, cores);
+    obs::ProtocolAuditor auditor(proto, cores);
     auditor.blockCheck = [&l2](Addr a) { l2.checkBlockInvariants(a); };
     sink.setListener(
         [&auditor](const obs::TraceEvent &ev) { auditor.onEvent(ev); });
@@ -369,10 +401,67 @@ TEST(DirectoryEquivalence, AuditorChecksDirectoryReadingsCleanly)
         auditor.runDeferredChecks();
         t += 400;
     }
-    EXPECT_GT(auditor.transitions(), 0u);
-    EXPECT_GT(dir.count(BusCmd::BusRdX), 0u);
-    EXPECT_GT(dir.count(BusCmd::DirPut), 0u);
     l2.checkInvariants();
+    dir.attachSink(nullptr);
+    return auditor.transitions();
+}
+
+TEST(DirectoryEquivalence, AuditorChecksDirectoryReadingsCleanly)
+{
+    // CMP-NuRAPID (MESIC) and private MESI at 8 cores over the mesh
+    // with the full auditor attached: the directory's per-block
+    // readings must agree with the audited per-core states, and its
+    // holder set must cover every copy, at every safe point.
+    DirectoryInterconnect nu(InterconnectKind::Mesh, 8, blk,
+                             CohMode::Mesic);
+    EXPECT_GT(auditedRun<CmpNurapid>(smallNurapid(8), nu, 8,
+                                     obs::AuditProtocol::Mesic),
+              0u);
+    EXPECT_GT(nu.count(BusCmd::BusRdX), 0u);
+    EXPECT_GT(nu.count(BusCmd::DirPut), 0u);
+
+    DirectoryInterconnect priv(InterconnectKind::Mesh, 8, blk,
+                               CohMode::Mesi);
+    EXPECT_GT(auditedRun<PrivateL2>(smallPrivate(8), priv, 8,
+                                    obs::AuditProtocol::Mesi),
+              0u);
+    EXPECT_GT(priv.count(BusCmd::DirPut), 0u);
+}
+
+/** A directory whose holder set drops core 0, though its sharer
+ *  membership (and so the auditor's directory reading) stays exact. */
+class UnderReportingDirectory : public DirectoryInterconnect
+{
+  public:
+    using DirectoryInterconnect::DirectoryInterconnect;
+
+    CoreMask holders(Addr addr) const override
+    {
+        return DirectoryInterconnect::holders(addr) & ~CoreMask{1};
+    }
+};
+
+// The holder set is checked, not assumed: under-reporting one holder
+// must die at the first audited safe point after that core fills.
+
+TEST(DirectoryHoldersDeathTest, NurapidDiesOnUnderReportedHolder)
+{
+    UnderReportingDirectory dir(InterconnectKind::Mesh, 8, blk,
+                                CohMode::Mesic);
+    EXPECT_DEATH(auditedRun<CmpNurapid>(smallNurapid(8), dir, 8,
+                                        obs::AuditProtocol::Mesic),
+                 "core0 holds [0-9a-f]+ but the interconnect's holder set "
+                 "0x[0-9a-f]+ omits it");
+}
+
+TEST(DirectoryHoldersDeathTest, PrivateDiesOnUnderReportedHolder)
+{
+    UnderReportingDirectory dir(InterconnectKind::Mesh, 8, blk,
+                                CohMode::Mesi);
+    EXPECT_DEATH(auditedRun<PrivateL2>(smallPrivate(8), dir, 8,
+                                       obs::AuditProtocol::Mesi),
+                 "core0 holds [0-9a-f]+ but the interconnect's holder set "
+                 "0x[0-9a-f]+ omits it");
 }
 
 } // namespace

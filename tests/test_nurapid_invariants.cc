@@ -221,6 +221,66 @@ TEST(NurapidInvariants, FrameCountNeverExceedsSharers)
     l2.checkInvariants();
 }
 
+/** A 4-core NuRAPID on the bus with inert L1 hooks. */
+struct PlantRig
+{
+    MainMemory mem;
+    SnoopBus bus;
+    CmpNurapid l2{tinyNurapid(7), bus, mem};
+
+    PlantRig()
+    {
+        l2.setL1Hooks([](CoreId, Addr) {}, [](CoreId, Addr, bool) {});
+    }
+
+    /** Plant a second frame of @p addr in d-group @p dg whose reverse
+     *  pointer names @p core's tag (which keeps its forward pointer).
+     *  @return the planted frame. */
+    FwdPtr
+    plantFrame(CoreId core, Addr addr, DGroupId dg)
+    {
+        NuTagArray &tags = l2.tagArrayForTest(core);
+        int idx = l2.dataArrayForTest().allocate(dg);
+        Frame &f = l2.dataArrayForTest().at(dg, idx);
+        f.valid = true;
+        f.addr = addr;
+        f.rev = tags.posOf(tags.find(addr));
+        return FwdPtr{dg, idx};
+    }
+};
+
+TEST(NurapidInvariantsDeathTest, DuplicateDirtyFrameDiesPerBlock)
+{
+    // Two C copies of one block, each with its own frame and with
+    // every forward/reverse pointer consistent: the per-access check
+    // must see the second dirty data copy through the tag copies.
+    PlantRig r;
+    r.l2.access({0, 0x1000, MemOp::Store}, 0);
+    r.l2.access({1, 0x1000, MemOp::Load}, 1000);
+    ASSERT_EQ(r.l2.stateOf(0, 0x1000), CohState::Communication);
+    ASSERT_EQ(r.l2.stateOf(1, 0x1000), CohState::Communication);
+    r.l2.checkBlockInvariants(0x1000);
+    r.l2.tagArrayForTest(0).find(0x1000)->fwd = r.plantFrame(0, 0x1000, 0);
+    ASSERT_EQ(r.l2.framesHolding(0x1000), 2);
+    EXPECT_DEATH(r.l2.checkBlockInvariants(0x1000),
+                 "dirty block 1000 has copies in two frames");
+    EXPECT_DEATH(r.l2.checkInvariants(), "dirty block 1000 has 2 frames");
+}
+
+TEST(NurapidInvariantsDeathTest, OrphanDuplicateDirtyFrameDiesAtRunEnd)
+{
+    // A second frame of an M block that no tag points at is invisible
+    // through the tag copies; the end-of-run global frame scan (which
+    // Runner::run always performs) must still catch it.
+    PlantRig r;
+    r.l2.access({0, 0x1000, MemOp::Store}, 0);
+    ASSERT_EQ(r.l2.stateOf(0, 0x1000), CohState::Modified);
+    (void)r.plantFrame(0, 0x1000, 2);
+    ASSERT_EQ(r.l2.framesHolding(0x1000), 2);
+    EXPECT_DEATH(r.l2.checkInvariants(),
+                 "reverse/forward pointer mismatch dg2");
+}
+
 TEST(NurapidInvariants, CompletionTimesAreMonotonicPerCore)
 {
     NurapidParams p = tinyNurapid(6);
