@@ -4,8 +4,8 @@
  *
  * Every scenario runs with the always-on observability path enabled:
  * each cell streams its events and metrics snapshots to a CNBLG01
- * binary log (DESIGN.md 3j) with a metrics interval, exactly as the
- * sweep farm runs it. The per-organization scenario additionally runs
+ * binary log (DESIGN.md 3j) with a metrics interval, exactly as a
+ * `cnsim --binlog-out --metrics-interval` sweep runs it. The per-organization scenario additionally runs
  * an obs-disabled twin of every rep, interleaved so host drift hits
  * both sides equally, and reports obs_overhead = 1 - on/off per org;
  * tools/perfcmp holds that overhead to a hard 5% ceiling.
@@ -53,20 +53,20 @@
  *    the organizations, so a change that makes sampling fast by
  *    making it wrong fails the gate just as loudly as a slowdown.
  *
- * 4. The sweep-farm scenario (DESIGN.md 3l): the same 7-organization
- *    grid dispatched to worker processes by farm::runFarm, measured
- *    four ways per rep -- in-process (the thread-pool baseline, each
- *    job capturing a warmed checkpoint blob just like a cold worker
- *    does, so the comparison isolates the farm machinery), cold
- *    farm (fresh cache directory: every cell computed by a worker,
- *    results and warmed checkpoints published), warm farm (identical
- *    grid, same directory: every cell a result-cache hit), and
- *    checkpoint-assisted farm (a longer measurement budget in the same
+ * 4. The result-cache scenario (DESIGN.md 3l): the same 7-organization
+ *    grid run by farm::runFarm, measured four ways per rep, every arm
+ *    at the same CNSIM_JOBS worker threads -- in-process (a plain
+ *    ParallelRunner batch, each job capturing a warmed checkpoint blob
+ *    just like a cold cached cell does, so the comparison isolates the
+ *    cache), cold (fresh cache directory: every cell computed, results
+ *    and warmed checkpoints published), warm (identical grid, same
+ *    directory: every cell a result-cache hit), and
+ *    checkpoint-assisted (a longer measurement budget in the same
  *    directory: result misses, but every cell resumes from its cached
  *    warmed CNCKPT01 blob instead of re-warming). The gates:
  *    warm >= 10x cold, ckpt-assisted >= 2x cold, and cold within 10%
  *    of in-process -- all paired same-host ratios that drift cancels
- *    out of. The farm cells run without binlogs (a cell writing
+ *    out of. The cells run without binlogs (a cell writing
  *    side-effect files is not cacheable, and the warm arm exists to
  *    measure cache hits); all four arms share that shape, so the
  *    comparison stays apples-to-apples.
@@ -79,14 +79,12 @@
  * across commits.
  *
  * Usage: perf_gate [output.json]   (default: BENCH_perf.json)
- *        perf_gate --worker [--cache-dir <dir>]   (farm worker mode)
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -95,8 +93,7 @@
 #include "bench_util.hh"
 #include "farm/cache.hh"
 #include "farm/cell.hh"
-#include "farm/coordinator.hh"
-#include "farm/worker.hh"
+#include "farm/sweep.hh"
 #include "trace/replay.hh"
 
 using namespace cnsim;
@@ -142,8 +139,7 @@ struct OrgResult
 /** Binlog + metrics interval used by every obs-enabled scenario. */
 constexpr Tick obs_metrics_interval = 100'000;
 
-/** Obs-enabled twin of @p cfg: binlog streaming + metrics snapshots,
- *  the configuration the sweep farm actually runs. */
+/** Obs-enabled twin of @p cfg: binlog streaming + metrics snapshots. */
 SystemConfig
 withObs(const SystemConfig &cfg, const std::string &tag)
 {
@@ -387,7 +383,7 @@ measureSampledSweep(int reps)
     return s;
 }
 
-// Farm scenario: warm-up dominates the cell cost (12:1) so the
+// Result-cache scenario: warm-up dominates the cell cost (12:1) so the
 // checkpoint-assisted arm has headroom to clear its 2x gate -- a
 // resumed cell still pays to restore the warmed state and to
 // regenerate the skipped stream up to its cursor (materialized
@@ -402,21 +398,21 @@ constexpr std::uint64_t farm_measure = 1'000'000;
 // every cellKey misses the result cache, while ckptKey -- which
 // ignores measurement-side parameters -- still hits the warmed blob.
 constexpr std::uint64_t farm_ckpt_measure = 1'200'000;
-constexpr unsigned farm_workers = 1;
 constexpr const char *farm_cache_root = "perf_farm_cache";
 
 struct FarmResult
 {
-    double inproc_ms_p50 = 0.0;  //!< thread-pool baseline, same cells
-    double cold_ms_p50 = 0.0;    //!< farm, empty cache: compute all
-    double warm_ms_p50 = 0.0;    //!< farm, result-cache hits only
-    double ckpt_ms_p50 = 0.0;    //!< farm, ckpt hits + result misses
+    unsigned workers = 0;        //!< threads of every arm
+    double inproc_ms_p50 = 0.0;  //!< no cache, same cells
+    double cold_ms_p50 = 0.0;    //!< empty cache: compute all
+    double warm_ms_p50 = 0.0;    //!< result-cache hits only
+    double ckpt_ms_p50 = 0.0;    //!< ckpt hits + result misses
     double warm_speedup = 0.0;   //!< cold_ms_p50 / warm_ms_p50
     double ckpt_speedup = 0.0;   //!< cold_ms_p50 / ckpt_ms_p50
     double cold_vs_inproc = 0.0; //!< cold_ms_p50 / inproc_ms_p50
 };
 
-/** The 7-organization farm grid at measurement budget @p measure. */
+/** The 7-organization grid at measurement budget @p measure. */
 std::vector<farm::CellSpec>
 farmCells(std::uint64_t measure)
 {
@@ -432,16 +428,16 @@ farmCells(std::uint64_t measure)
     return cells;
 }
 
-/** One timed in-process run of @p cells (the farm's baseline side).
- *  Every job captures a warmed-state checkpoint blob, exactly like a
- *  cold farm worker publishing to the checkpoint cache, so the
- *  cold-vs-inproc ratio isolates the process-farm machinery (fork,
- *  frames, cache files) instead of charging the farm for capture work
- *  the baseline skipped. */
+/** One timed cache-less run of @p cells on @p workers threads (the
+ *  baseline side). Every job captures a warmed-state checkpoint blob,
+ *  exactly like a cold cached cell publishing to the checkpoint cache,
+ *  so the cold-vs-inproc ratio isolates the cache (lookups, entry
+ *  files) instead of charging it for capture work the baseline
+ *  skipped. */
 double
-inprocOnceMs(const std::vector<farm::CellSpec> &cells)
+inprocOnceMs(const std::vector<farm::CellSpec> &cells, unsigned workers)
 {
-    ParallelRunner pool(benchutil::jobsFromEnv());
+    ParallelRunner pool(workers);
     std::vector<std::shared_ptr<std::string>> blobs;
     for (const farm::CellSpec &spec : cells) {
         ParallelJob job = farm::buildJob(spec);
@@ -456,13 +452,14 @@ inprocOnceMs(const std::vector<farm::CellSpec> &cells)
     return ms;
 }
 
-/** One timed farm run of @p cells against @p cache_dir. */
+/** One timed runFarm of @p cells on @p workers threads against
+ *  @p cache_dir. */
 double
 farmOnceMs(const std::vector<farm::CellSpec> &cells,
-           const std::string &cache_dir)
+           const std::string &cache_dir, unsigned workers)
 {
     farm::FarmOptions fo;
-    fo.workers = farm_workers;
+    fo.workers = workers;
     fo.cache_dir = cache_dir;
     fo.progress = false;
     double t0 = nowSeconds();
@@ -493,6 +490,7 @@ measureFarm(int reps)
     std::vector<farm::CellSpec> longer = farmCells(farm_ckpt_measure);
 
     FarmResult s;
+    s.workers = ParallelRunner(benchutil::jobsFromEnv()).workers();
     std::vector<double> inproc_ms, cold_ms, warm_ms, ckpt_ms;
     for (int i = 0; i < reps; ++i) {
         // All four arms run within the rep, in a fixed order, so slow
@@ -501,10 +499,11 @@ measureFarm(int reps)
         // re-runs the same grid (pure result hits), ckpt runs the
         // longer grid (result misses resuming from the cached warmed
         // state), then the entries are dropped for the next rep.
-        inproc_ms.push_back(inprocOnceMs(cells));
-        cold_ms.push_back(farmOnceMs(cells, farm_cache_root));
-        warm_ms.push_back(farmOnceMs(cells, farm_cache_root));
-        ckpt_ms.push_back(farmOnceMs(longer, farm_cache_root));
+        inproc_ms.push_back(inprocOnceMs(cells, s.workers));
+        cold_ms.push_back(farmOnceMs(cells, farm_cache_root, s.workers));
+        warm_ms.push_back(farmOnceMs(cells, farm_cache_root, s.workers));
+        ckpt_ms.push_back(
+            farmOnceMs(longer, farm_cache_root, s.workers));
         dropFarmCache(longer, farm_cache_root);
         dropFarmCache(cells, farm_cache_root);
         std::fprintf(stderr,
@@ -531,15 +530,6 @@ measureFarm(int reps)
 int
 main(int argc, char **argv)
 {
-    // Farm worker mode: runFarm re-executes this binary, so the
-    // perf_gate binary is its own worker (farm/coordinator.hh).
-    if (argc > 1 && std::strcmp(argv[1], "--worker") == 0) {
-        std::string cache_dir;
-        if (argc > 3 && std::strcmp(argv[2], "--cache-dir") == 0)
-            cache_dir = argv[3];
-        return farm::workerMain(cache_dir);
-    }
-
     std::string out = argc > 1 ? argv[1] : "BENCH_perf.json";
     int reps = static_cast<int>(benchutil::envU64("CNSIM_PERF_REPS", 5));
     unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
@@ -610,12 +600,12 @@ main(int argc, char **argv)
                 sampled.sampled_ms_p50, sampled.sampled_ms_best);
     std::printf("  speedup %.2fx  max IPC error %.4f\n",
                 sampled.speedup, sampled.max_ipc_err);
-    std::printf("\nsweep farm (%s, %llu+%llu per core, %u worker "
-                "process%s):\n",
+    std::printf("\nresult cache (%s, %llu+%llu per core, %u worker "
+                "thread%s per arm):\n",
                 pinned_workload,
                 static_cast<unsigned long long>(farm_warmup),
                 static_cast<unsigned long long>(farm_measure),
-                farm_workers, farm_workers == 1 ? "" : "es");
+                farm.workers, farm.workers == 1 ? "" : "s");
     std::printf("  inproc p50 %8.0f ms\n", farm.inproc_ms_p50);
     std::printf("  cold   p50 %8.0f ms (%.2fx of inproc)\n",
                 farm.cold_ms_p50, farm.cold_vs_inproc);
@@ -690,7 +680,7 @@ main(int argc, char **argv)
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"farm\": {\n");
     std::fprintf(f, "    \"orgs\": %zu,\n", num_sweep_orgs);
-    std::fprintf(f, "    \"workers\": %u,\n", farm_workers);
+    std::fprintf(f, "    \"workers\": %u,\n", farm.workers);
     std::fprintf(f, "    \"warmup\": %llu,\n",
                  static_cast<unsigned long long>(farm_warmup));
     std::fprintf(f, "    \"measure\": %llu,\n",

@@ -1,8 +1,8 @@
 #include "farm/cache.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -10,9 +10,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "farm/cell.hh"
-#include "obs/frame.hh"
 #include "sample/checkpoint.hh"
 
 namespace cnsim
@@ -25,11 +25,83 @@ namespace
 
 constexpr char entry_magic[8] = {'C', 'N', 'F', 'A', 'R', 'M', '0', '1'};
 
-/** Frame types inside cache entries: 'r' result, 'c' checkpoint. */
-std::uint8_t
-entryFrameType(char kind)
+/** Bytes between the magic and the payload: u32 length + u8 kind. */
+constexpr std::size_t entry_header_bytes = 5;
+
+/** Bytes after the payload: the u64 checksum. */
+constexpr std::size_t entry_trailer_bytes = 8;
+
+/** Entries claiming a longer payload are rejected as corrupt (a bad
+ *  length field must not trigger a multi-gigabyte allocation). */
+constexpr std::uint64_t entry_max_payload = 256u * 1024 * 1024;
+
+/** Numbers the temp files of this process's writers apart. */
+std::atomic<std::uint64_t> tmp_serial{0};
+
+void
+putLE(std::string &out, std::uint64_t v, int bytes)
 {
-    return static_cast<std::uint8_t>(kind);
+    for (int i = 0; i < bytes; ++i)
+        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+}
+
+std::uint64_t
+getLE(const char *p, int bytes)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i)
+        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+             << (8 * i);
+    return v;
+}
+
+std::uint64_t
+entryChecksum(char kind, const char *payload, std::size_t n)
+{
+    return fnv1a(payload, n, fnv1a(&kind, 1));
+}
+
+/** The complete entry file for @p payload (see cache.hh). */
+std::string
+encodeEntry(char kind, const std::string &payload)
+{
+    std::string out(entry_magic, sizeof(entry_magic));
+    out.reserve(sizeof(entry_magic) + entry_header_bytes +
+                payload.size() + entry_trailer_bytes);
+    putLE(out, payload.size(), 4);
+    out.push_back(kind);
+    out.append(payload);
+    putLE(out, entryChecksum(kind, payload.data(), payload.size()), 8);
+    return out;
+}
+
+/** Validate entry file @p bytes as kind @p kind and extract its
+ *  payload; @return null on success, else why it was rejected. */
+const char *
+decodeEntry(const std::string &bytes, char kind, std::string &payload)
+{
+    constexpr std::size_t fixed =
+        sizeof(entry_magic) + entry_header_bytes + entry_trailer_bytes;
+    if (bytes.size() < sizeof(entry_magic) ||
+        std::memcmp(bytes.data(), entry_magic, sizeof(entry_magic)) != 0)
+        return "bad magic";
+    if (bytes.size() < fixed)
+        return "truncated";
+    const char *p = bytes.data() + sizeof(entry_magic);
+    std::uint64_t len = getLE(p, 4);
+    if (len > entry_max_payload)
+        return "length out of range";
+    if (bytes.size() < fixed + len)
+        return "truncated";
+    const char *body = p + entry_header_bytes;
+    if (entryChecksum(p[4], body, len) != getLE(body + len, 8))
+        return "checksum mismatch";
+    if (bytes.size() != fixed + len)
+        return "trailing bytes";
+    if (p[4] != kind)
+        return "wrong entry kind";
+    payload.assign(body, len);
+    return nullptr;
 }
 
 /** mkdir -p: create @p dir and its ancestors; false on failure. */
@@ -79,18 +151,6 @@ Cache::Cache(const std::string &dir) : root(dir)
 }
 
 std::string
-Cache::defaultDir()
-{
-    if (const char *dir = std::getenv("CNSIM_CACHE_DIR"))
-        return dir;
-    if (const char *xdg = std::getenv("XDG_CACHE_HOME"))
-        return std::string(xdg) + "/cnsim";
-    if (const char *home = std::getenv("HOME"))
-        return std::string(home) + "/.cache/cnsim";
-    return "";
-}
-
-std::string
 Cache::entryPath(char kind, std::uint64_t key) const
 {
     return root + "/" + kind + "-" + keyString(key) + ".cnf";
@@ -106,28 +166,12 @@ Cache::loadEntry(char kind, std::uint64_t key, std::string &payload) const
     if (!readFile(path, bytes))
         return false;
 
-    auto reject = [&](const char *why) {
+    if (const char *why = decodeEntry(bytes, kind, payload)) {
         warn("rejecting corrupt cache entry '%s' (%s); recomputing",
              path.c_str(), why);
         ::unlink(path.c_str());
         return false;
-    };
-    if (bytes.size() < sizeof(entry_magic) ||
-        std::memcmp(bytes.data(), entry_magic, sizeof(entry_magic)) != 0)
-        return reject("bad magic");
-    obs::Frame frame;
-    std::size_t consumed = 0;
-    obs::FrameStatus st = obs::decodeFrame(
-        reinterpret_cast<const std::uint8_t *>(bytes.data()) +
-            sizeof(entry_magic),
-        bytes.size() - sizeof(entry_magic), frame, consumed);
-    if (st != obs::FrameStatus::Ok)
-        return reject("frame checksum or length mismatch");
-    if (consumed != bytes.size() - sizeof(entry_magic))
-        return reject("trailing bytes");
-    if (frame.type != entryFrameType(kind))
-        return reject("wrong entry kind");
-    payload = std::move(frame.payload);
+    }
     return true;
 }
 
@@ -138,18 +182,18 @@ Cache::storeEntry(char kind, std::uint64_t key,
     if (!enabled())
         return;
     std::string path = entryPath(kind, key);
-    std::string tmp =
-        path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+    std::string tmp = path + ".tmp." +
+                      std::to_string(static_cast<long>(::getpid())) +
+                      "." + std::to_string(tmp_serial.fetch_add(1));
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out) {
             warn("cannot write cache entry '%s'", tmp.c_str());
             return;
         }
-        out.write(entry_magic, sizeof(entry_magic));
-        std::string frame = obs::encodeFrame(entryFrameType(kind), payload);
-        out.write(frame.data(),
-                  static_cast<std::streamsize>(frame.size()));
+        std::string entry = encodeEntry(kind, payload);
+        out.write(entry.data(),
+                  static_cast<std::streamsize>(entry.size()));
         if (!out.good()) {
             warn("short write on cache entry '%s'", tmp.c_str());
             ::unlink(tmp.c_str());
@@ -185,7 +229,7 @@ Cache::loadCkpt(std::uint64_t key) const
     std::string payload;
     if (!loadEntry('c', key, payload))
         return nullptr;
-    // Defense in depth: the frame checksum already validated the
+    // Defense in depth: the entry checksum already validated the
     // bytes, but the checkpoint deserializer is fatal-on-corrupt, so
     // re-check its own integrity envelope before trusting the blob.
     if (!sample::Checkpoint::checksumOk(payload)) {

@@ -2,8 +2,8 @@
 
 #include <cstdio>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
-#include "obs/frame.hh"
 
 namespace cnsim
 {
@@ -13,9 +13,8 @@ namespace farm
 namespace
 {
 
-/** Serialize every result- and state-shaping field of @p s -- the
- * common prefix of the wire format and the result-cache key. The
- * attempt counter stays out: a requeued cell is the same cell. */
+/** Serialize every result- and state-shaping field of @p s into the
+ * result-cache key. */
 void
 putKeyFields(sample::Writer &w, const CellSpec &s)
 {
@@ -39,7 +38,6 @@ putKeyFields(sample::Writer &w, const CellSpec &s)
     w.u64(s.sample_warmup);
     w.u8(s.collect_stats_dump);
     w.u8(s.collect_stats_csv);
-    w.u8(s.use_ckpt_cache);
 }
 
 /** The run-control half of buildJob (needed key-side for the trace
@@ -122,46 +120,6 @@ CellSpec::label() const
            workload;
 }
 
-std::string
-serializeCell(const CellSpec &spec)
-{
-    sample::Writer w;
-    putKeyFields(w, spec);
-    w.u32(spec.attempt);
-    return w.take();
-}
-
-CellSpec
-deserializeCell(const std::string &bytes, const std::string &what)
-{
-    sample::Reader r(bytes.data(), bytes.size(), what);
-    CellSpec s;
-    s.l2_kind = r.u32();
-    s.cores = r.u32();
-    s.interconnect = r.u32();
-    s.enable_cr = r.u8();
-    s.enable_isc = r.u8();
-    s.promotion = r.u32();
-    s.tag_factor = r.u32();
-    s.audit = r.u8();
-    s.metrics_interval = r.u64();
-    s.binlog_out = r.str();
-    s.workload = r.str();
-    s.warmup = r.u64();
-    s.measure = r.u64();
-    s.quantum = r.u64();
-    s.seed = r.u64();
-    s.sample_windows = r.u32();
-    s.sample_detail = r.u64();
-    s.sample_warmup = r.u64();
-    s.collect_stats_dump = r.u8();
-    s.collect_stats_csv = r.u8();
-    s.use_ckpt_cache = r.u8();
-    s.attempt = r.u32();
-    r.expectExhausted();
-    return s;
-}
-
 std::uint64_t
 cellKey(const CellSpec &spec)
 {
@@ -172,7 +130,7 @@ cellKey(const CellSpec &spec)
     putKeyFields(w, spec);
     w.u64(traceHash(spec));
     const std::string &b = w.bytes();
-    return obs::fnv1a(b.data(), b.size());
+    return fnv1a(b.data(), b.size());
 }
 
 std::uint64_t
@@ -204,7 +162,7 @@ ckptKey(const CellSpec &spec)
     w.u8(spec.sample_windows > 0 ? 1 : 0);
     w.u64(traceHash(spec));
     const std::string &b = w.bytes();
-    return obs::fnv1a(b.data(), b.size());
+    return fnv1a(b.data(), b.size());
 }
 
 std::string

@@ -1,20 +1,19 @@
 /**
  * @file
- * Work-unit model of the sweep farm (DESIGN.md 3l).
+ * Work-unit model of sweeps (DESIGN.md 3l).
  *
  * A CellSpec is one grid cell of an experiment sweep -- the complete,
  * self-describing recipe for one Runner::run call: system shape (L2
  * organization, core count, interconnect, NuRAPID knobs), workload
  * name, run budgets, sampling plan, and observability options. It
- * deliberately carries *names and parameters*,
- * never pointers or materialized streams: the canonical-trace
- * guarantee (trace/replay.hh) means a worker process rebuilds the
- * bit-identical stream from the spec alone, so cells serialize into a
- * few hundred bytes and any placement of cells onto workers yields
- * byte-identical results.
+ * deliberately carries *names and parameters*, never pointers or
+ * materialized streams: the canonical-trace guarantee
+ * (trace/replay.hh) means buildJob() rebuilds the bit-identical
+ * stream from the spec alone, so the spec can be hashed into content
+ * keys and a cached result stands in for running the cell.
  *
  * Two FNV-1a content keys derive from a spec:
- *  - cellKey(): the *result* identity -- every serialized field plus
+ *  - cellKey(): the *result* identity -- every spec field plus
  *    the effective trace hash and the farm/checkpoint format versions.
  *    Two specs with equal keys produce byte-identical RunResults, so
  *    the key addresses the result cache.
@@ -44,16 +43,7 @@ namespace farm
 /** Bumped whenever a change anywhere in the simulator can alter
  *  results or checkpoint state for an unchanged CellSpec; stale cache
  *  entries then miss instead of serving bytes from an older binary. */
-constexpr std::uint32_t farm_format_version = 3;
-
-/** Frame type discriminators of the farm protocol (obs/frame.hh). */
-enum FrameType : std::uint8_t
-{
-    /** Coordinator -> worker: one serialized CellSpec to execute. */
-    frame_job = 1,
-    /** Worker -> coordinator: u64 cell key + serialized RunResult. */
-    frame_result = 2,
-};
+constexpr std::uint32_t farm_format_version = 4;
 
 /** One sweep grid cell; see the file comment. */
 struct CellSpec
@@ -86,13 +76,6 @@ struct CellSpec
     std::uint8_t collect_stats_dump = 0;
     std::uint8_t collect_stats_csv = 0;
 
-    /** Let the worker share warmed checkpoints through the cache. */
-    std::uint8_t use_ckpt_cache = 1;
-
-    /** Delivery attempt (0 first try, 1 after a requeue). Transported
-     *  with the spec but excluded from both content keys. */
-    std::uint32_t attempt = 0;
-
     /** "l2/workload" label for progress and error messages. */
     [[nodiscard]] std::string label() const;
 
@@ -103,14 +86,6 @@ struct CellSpec
         return binlog_out.empty();
     }
 };
-
-/** Serialize @p spec (all fields, attempt last) for the job frames. */
-std::string serializeCell(const CellSpec &spec);
-
-/** Parse serializeCell bytes; fatal on truncation ( @p what names the
- *  source in errors). */
-CellSpec deserializeCell(const std::string &bytes,
-                         const std::string &what);
 
 /** Content key addressing @p spec's RunResult in the cache. */
 std::uint64_t cellKey(const CellSpec &spec);
@@ -124,7 +99,7 @@ std::string keyString(std::uint64_t key);
 /** Materialize the Runner::run argument triple for @p spec. */
 ParallelJob buildJob(const CellSpec &spec);
 
-/** Serialize a RunResult for result frames and cache entries. */
+/** Serialize a RunResult for result-cache entries. */
 std::string serializeResult(const RunResult &r);
 
 /** Parse serializeResult bytes; fatal on truncation. */

@@ -15,6 +15,24 @@
 namespace cnsim
 {
 
+namespace
+{
+
+/** fatal() when two of @p paths name the same non-empty binlog file. */
+void
+requireDistinctBinlogs(const std::vector<std::string> &paths)
+{
+    std::set<std::string> seen;
+    for (const std::string &p : paths)
+        if (!p.empty() && !seen.insert(p).second)
+            fatal("two runs stream to one binlog '%s', and one log would "
+                  "be lost; give each run its own binlog_out "
+                  "(--binlog-out)",
+                  p.c_str());
+}
+
+} // namespace
+
 ParallelRunner::ParallelRunner(unsigned workers)
     : num_workers(workers ? workers : defaultWorkers())
 {
@@ -59,18 +77,6 @@ planStreams(std::vector<ParallelJob> &jobs)
         else
             job.run_cfg.canonical_live = true;
     }
-}
-
-void
-requireDistinctBinlogs(const std::vector<std::string> &paths)
-{
-    std::set<std::string> seen;
-    for (const std::string &p : paths)
-        if (!p.empty() && !seen.insert(p).second)
-            fatal("two runs stream to one binlog '%s', and one log would "
-                  "be lost; give each run its own binlog_out "
-                  "(--binlog-out)",
-                  p.c_str());
 }
 
 std::size_t
@@ -135,6 +141,8 @@ ParallelRunner::run()
             // reporting only; simulation results never read it)
             auto finish = std::chrono::steady_clock::now();
             std::chrono::duration<double> elapsed = finish - start;
+            if (finish_hook)
+                finish_hook(i, results[i]);
             MutexLock lock(state.done_mutex);
             ++state.completed;
             if (progress) {

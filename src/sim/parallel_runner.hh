@@ -14,8 +14,8 @@
  * returned in submission order.
  *
  * Every job sees the canonical round-robin stream of its (workload,
- * seed) (trace/replay.hh), whether it runs alone, in a grid, on any
- * worker count, or in a farm worker process. planStreams() only picks
+ * seed) (trace/replay.hh), whether it runs alone, in a grid, or on
+ * any worker count. planStreams() only picks
  * how that stream is delivered -- regenerated inline or materialized
  * once and shared -- which is a cost choice that never changes a
  * result.
@@ -86,6 +86,14 @@ class ParallelRunner
      */
     using ProgressFn = std::function<void(const JobReport &)>;
 
+    /**
+     * Called on the worker thread as soon as job @p index has its
+     * @p result, before its progress report and *outside* the internal
+     * lock, so calls for different jobs may overlap.
+     */
+    using FinishFn =
+        std::function<void(std::size_t index, const RunResult &result)>;
+
     /** @param workers thread count; 0 means defaultWorkers(). */
     explicit ParallelRunner(unsigned workers = 0);
 
@@ -99,6 +107,10 @@ class ParallelRunner
 
     /** Install a per-job completion callback (may be empty). */
     void onProgress(ProgressFn fn) { progress = std::move(fn); }
+
+    /** Install a per-job hook that runs outside the lock (may be
+     *  empty); farm::runFarm publishes cache entries from it. */
+    void onFinish(FinishFn fn) { finish_hook = std::move(fn); }
 
     /**
      * No-op kept for existing callers: run() now plans every batch
@@ -133,7 +145,8 @@ class ParallelRunner
      * submission order (results[i] belongs to the job submit()
      * returned i for), bit-identical to a serial Runner::run loop.
      * fatal()s before any job runs when two jobs name the same
-     * binlog_out (requireDistinctBinlogs).
+     * binlog_out: both would stream into it and only one log would
+     * survive, in a file the reader still accepts.
      */
     std::vector<RunResult> run();
 
@@ -155,6 +168,7 @@ class ParallelRunner
     unsigned num_workers;
     std::vector<ParallelJob> jobs;
     ProgressFn progress;
+    FinishFn finish_hook;
 };
 
 /**
@@ -171,14 +185,6 @@ class ParallelRunner
  * alive for as long as it holds the jobs.
  */
 void planStreams(std::vector<ParallelJob> &jobs);
-
-/**
- * fatal() when two of @p paths name the same non-empty binlog file:
- * both runs would stream into it and only one log would survive, in a
- * file the reader still accepts. ParallelRunner::run() and
- * farm::runFarm() check their whole batch before any cell runs.
- */
-void requireDistinctBinlogs(const std::vector<std::string> &paths);
 
 } // namespace cnsim
 

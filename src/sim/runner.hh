@@ -161,7 +161,7 @@ struct RunResult
     std::uint64_t trace_events = 0;
 
     /** Always 0: the binlog never drops. Kept only because cnbench/
-     *  reads it; not part of the farm wire format. */
+     *  reads it; not part of the serialized result. */
     std::uint64_t trace_dropped = 0;
 
     /** Transitions checked by the auditor (when obs.audit). */

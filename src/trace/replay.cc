@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "trace/trace_file.hh"
 
@@ -164,17 +165,6 @@ serializeParams(const SynthWorkloadParams &params)
     return s;
 }
 
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 14695981039346656037ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
 } // namespace
 
 bool
@@ -219,7 +209,8 @@ RecordedTrace::~RecordedTrace() = default;
 std::uint64_t
 RecordedTrace::hashParams(const SynthWorkloadParams &params)
 {
-    return fnv1a(serializeParams(params));
+    std::string bytes = serializeParams(params);
+    return fnv1a(bytes.data(), bytes.size());
 }
 
 void

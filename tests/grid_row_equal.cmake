@@ -1,14 +1,14 @@
 # Grid-independence check, run as a ctest via `cmake -P`.
 #
 #   cmake -DCLI=<cnsim> -DKIND=<l2 kind> -DARGS=<workload + budget args>
-#         -DCACHE=<farm cache dir> -DOUT=<output prefix>
+#         -DCACHE=<result cache dir> -DOUT=<output prefix>
 #         -P grid_row_equal.cmake
 #
 # Runs the KIND cell alone, then inside the all-organization grid at
-# --jobs 1, at --jobs 4, and on 2 farm worker processes, and fails
-# unless the KIND row is byte-identical in all four tables: a cell's
-# result depends only on (config, workload, seed), never on the grid
-# it runs in or on how the grid is executed.
+# --jobs 1, at --jobs 4, and at --jobs 2 through a cold and then a warm
+# result cache, and fails unless the KIND row is byte-identical in all
+# five tables: a cell's result depends only on (config, workload,
+# seed), never on the grid it runs in or on how the grid is executed.
 
 if(NOT DEFINED CLI OR NOT DEFINED KIND OR NOT DEFINED ARGS
    OR NOT DEFINED CACHE OR NOT DEFINED OUT)
@@ -17,14 +17,15 @@ if(NOT DEFINED CLI OR NOT DEFINED KIND OR NOT DEFINED ARGS
 endif()
 
 separate_arguments(args UNIX_COMMAND "${ARGS}")
-# A stale cache would turn the farm run into cache reads.
+# A stale cache would turn the cold run into cache reads.
 file(REMOVE_RECURSE "${CACHE}")
 
-set(runs solo jobs1 jobs4 farm2)
+set(runs solo jobs1 jobs4 cold warm)
 set(solo_flags --l2 ${KIND})
 set(jobs1_flags --l2 all --jobs 1)
 set(jobs4_flags --l2 all --jobs 4)
-set(farm2_flags --l2 all --farm-jobs 2 --cache-dir ${CACHE})
+set(cold_flags --l2 all --jobs 2 --cache-dir ${CACHE})
+set(warm_flags ${cold_flags})
 
 foreach(run IN LISTS runs)
     execute_process(
@@ -43,7 +44,7 @@ foreach(run IN LISTS runs)
     set(${run}_row "${row}")
 endforeach()
 
-foreach(run jobs1 jobs4 farm2)
+foreach(run jobs1 jobs4 cold warm)
     if(NOT ${run}_row STREQUAL solo_row)
         message(FATAL_ERROR
             "grid_row_equal: the ${KIND} row differs between the solo "

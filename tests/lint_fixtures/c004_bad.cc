@@ -1,7 +1,7 @@
-// Seeded CNL-C004 violations: process control outside src/farm/.
-// fork/exec/waitpid belong to the farm coordinator the way raw
-// std::thread belongs to ParallelRunner (CNL-C002): one owner for
-// worker lifecycle, stderr capture, and crash/requeue policy.
+// Seeded CNL-C004 violations: process control in simulator code.
+// Sweeps run as ParallelRunner jobs on threads (raw std::thread is
+// confined there by CNL-C002); no code forks, execs or reaps a child
+// process.
 // cnlint: scope(sim)
 
 #include <sys/wait.h>

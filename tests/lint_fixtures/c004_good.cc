@@ -1,21 +1,20 @@
-// Compliant form: simulation code that needs a worker process asks
-// the farm coordinator (src/farm/coordinator.hh) instead of spawning
-// one itself; mentioning the primitives in prose stays legal, only
-// calls are confined to src/farm/.
+// Compliant form: parallel work is submitted as jobs to a thread pool
+// (ParallelRunner, or farm::runFarm for cached sweeps) instead of
+// spawning processes; mentioning fork or waitpid in prose stays legal,
+// only calls are flagged.
 // cnlint: scope(sim)
 
-#include <string>
+#include <cstddef>
 #include <vector>
 
-namespace farm_api
+namespace pool_api
 {
-long spawnProcess(const std::string &exe,
-                  const std::vector<std::string> &args);
-int reapProcess(long pid);
-} // namespace farm_api
+std::size_t submitJob(int job);
+std::vector<int> runAll();
+} // namespace pool_api
 
-int runHelper(const std::string &exe)
+int runHelper(int job)
 {
-    long pid = farm_api::spawnProcess(exe, {});
-    return farm_api::reapProcess(pid);
+    pool_api::submitJob(job);
+    return static_cast<int>(pool_api::runAll().size());
 }

@@ -1,14 +1,15 @@
 # Differential capture/replay check, run as a ctest via `cmake -P`.
 #
 #   cmake -DCMD1=<exe + args> -DCMD2=<exe + args>
-#         [-DENVVARS=<K=V;K=V;...>] -DOUT1=<file> -DOUT2=<file>
-#         -P replay_equal.cmake
+#         [-DENVVARS=<K=V;K=V;...>] [-DFRESH=<dir>] [-DERR2=<regex>]
+#         -DOUT1=<file> -DOUT2=<file> -P replay_equal.cmake
 #
 # Runs CMD1 then CMD2 with the given environment and fails unless
 # their stdout is byte-identical. This pins the replay contract: a
 # sweep replaying a captured CNTRF001 stream (or the shared in-memory
 # trace cache, at any --jobs level) must reproduce the capture run's
-# results exactly.
+# results exactly. FRESH names a directory (a result cache) removed
+# before CMD1 runs; ERR2 is a regex CMD2's whole stderr must match.
 
 if(NOT DEFINED CMD1 OR NOT DEFINED CMD2 OR NOT DEFINED OUT1
    OR NOT DEFINED OUT2)
@@ -26,6 +27,10 @@ if(DEFINED ENVVARS)
     endforeach()
 endif()
 
+if(DEFINED FRESH)
+    file(REMOVE_RECURSE "${FRESH}")
+endif()
+
 foreach(side 1 2)
     separate_arguments(cmd_list UNIX_COMMAND "${CMD${side}}")
     execute_process(
@@ -39,6 +44,12 @@ foreach(side 1 2)
     endif()
     file(WRITE "${OUT${side}}" "${got${side}}")
 endforeach()
+
+if(DEFINED ERR2 AND NOT err MATCHES "${ERR2}")
+    message(FATAL_ERROR
+            "replay_equal: stderr of '${CMD2}' does not match "
+            "'${ERR2}':\n${err}")
+endif()
 
 if(NOT got1 STREQUAL got2)
     message(FATAL_ERROR

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <set>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -62,6 +63,16 @@ TEST(Logging, QuietSuppresses)
     inform("should be suppressed");
     setQuiet(false);
     EXPECT_FALSE(quiet());
+}
+
+TEST(Hash, Fnv1aKnownAnswers)
+{
+    // Published FNV-1a 64-bit test vectors.
+    EXPECT_EQ(fnv1a("", 0), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(fnv1a("foobar", 6), 0x85944171f73967e8ull);
+    // Chaining through the seed equals hashing the concatenation.
+    EXPECT_EQ(fnv1a("bar", 3, fnv1a("foo", 3)), fnv1a("foobar", 6));
 }
 
 TEST(Rng, Deterministic)

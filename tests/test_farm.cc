@@ -1,16 +1,12 @@
 /**
  * @file
- * Tests for the sweep farm (src/farm/): the CNFRM01 frame codec, the
- * CellSpec work-unit model and its content keys, the content-addressed
- * result/checkpoint cache, the canonical-live stream's equivalence to
- * a materialized replay, the multi-process coordinator (including the
- * crash-requeue contract, driven by CNSIM_FARM_TEST_CRASH_CELL), and
- * grid independence: a cell's result is the same solo, in a thread
- * pool, and in the farm.
- *
- * Process-spawning tests execute the real cnsim CLI (CNSIM_CLI_BIN)
- * as the worker binary, so they exercise exactly the bytes a user's
- * `--farm-jobs` sweep runs.
+ * Tests for the sweep executor and its cache (src/farm/): the CellSpec
+ * work-unit model and its content keys, the content-addressed
+ * result/checkpoint cache and its entry-file integrity checks, the
+ * canonical-live stream's equivalence to a materialized replay,
+ * farm::runFarm's byte-identity across worker counts and cache states,
+ * and grid independence: a cell's result is the same solo, in a
+ * thread pool, and through the cache.
  */
 
 #include <cstdint>
@@ -20,17 +16,17 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <dirent.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "farm/cache.hh"
 #include "farm/cell.hh"
-#include "farm/coordinator.hh"
-#include "farm/worker.hh"
-#include "obs/frame.hh"
+#include "farm/sweep.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/runner.hh"
 #include "trace/replay.hh"
@@ -100,138 +96,145 @@ runInProcess(const std::vector<farm::CellSpec> &cells)
 }
 
 farm::FarmOptions
-cliFarm(unsigned workers, const std::string &cache_dir)
+threads(unsigned workers, const std::string &cache_dir)
 {
     farm::FarmOptions fo;
     fo.workers = workers;
     fo.cache_dir = cache_dir;
-    fo.worker_exe = CNSIM_CLI_BIN;
     fo.progress = false;
     return fo;
 }
 
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Names of the files in @p dir. */
+std::vector<std::string>
+listDir(const std::string &dir)
+{
+    std::vector<std::string> names;
+    if (DIR *d = ::opendir(dir.c_str())) {
+        while (dirent *e = ::readdir(d))
+            if (e->d_name[0] != '.')
+                names.emplace_back(e->d_name);
+        ::closedir(d);
+    }
+    return names;
+}
+
+/** A small but complete RunResult for the cache-entry tests. */
+RunResult
+sampleResult()
+{
+    RunResult r;
+    r.workload = "oltp";
+    r.l2_kind = "shared";
+    r.instructions = 123;
+    r.cycles = 456;
+    r.ipc = 0.27;
+    r.core_ipc = {0.1, 0.2};
+    return r;
+}
+
 // ---------------------------------------------------------------------
-// CNFRM01 frame codec
+// Cache entry files: the checksummed frame every entry is stored as
 // ---------------------------------------------------------------------
 
 TEST(Frame, EncodeDecodeRoundTrip)
 {
-    std::string payload = "the quick brown fox";
-    std::string wire = obs::encodeFrame(42, payload);
+    farm::Cache cache(uniqueDir("farm_entry"));
+    const std::uint64_t key = 0x1234abcdu;
+    const RunResult r = sampleResult();
+    cache.storeResult(key, r);
 
-    obs::Frame frame;
-    std::size_t consumed = 0;
-    auto st = obs::decodeFrame(
-        reinterpret_cast<const std::uint8_t *>(wire.data()), wire.size(),
-        frame, consumed);
-    EXPECT_EQ(st, obs::FrameStatus::Ok);
-    EXPECT_EQ(frame.type, 42);
-    EXPECT_EQ(frame.payload, payload);
-    EXPECT_EQ(consumed, wire.size());
+    // Layout: magic, little-endian payload length, kind, payload,
+    // checksum.
+    const std::string payload = farm::serializeResult(r);
+    const std::string bytes = readBytes(cache.entryPath('r', key));
+    ASSERT_EQ(bytes.size(), 8 + 4 + 1 + payload.size() + 8);
+    EXPECT_EQ(bytes.substr(0, 8), "CNFARM01");
+    EXPECT_EQ(static_cast<unsigned char>(bytes[8]), payload.size() & 0xff);
+    EXPECT_EQ(bytes[12], 'r');
+    EXPECT_EQ(bytes.substr(13, payload.size()), payload);
 
-    // Empty payloads are legal (stats requests, shutdown).
-    wire = obs::encodeFrame(7, std::string());
-    st = obs::decodeFrame(
-        reinterpret_cast<const std::uint8_t *>(wire.data()), wire.size(),
-        frame, consumed);
-    EXPECT_EQ(st, obs::FrameStatus::Ok);
-    EXPECT_TRUE(frame.payload.empty());
+    RunResult back;
+    ASSERT_TRUE(cache.loadResult(key, back));
+    EXPECT_EQ(farm::serializeResult(back), payload);
+
+    // The kind byte is part of the entry: a result entry placed under
+    // a checkpoint name is rejected, not reinterpreted.
+    writeBytes(cache.entryPath('c', key), bytes);
+    EXPECT_EQ(cache.loadCkpt(key), nullptr);
 }
 
 TEST(Frame, TruncationAndCorruptionAreDetected)
 {
-    std::string wire = obs::encodeFrame(1, "payload bytes");
-    obs::Frame frame;
-    std::size_t consumed = 0;
+    farm::Cache cache(uniqueDir("farm_entry_bad"));
+    const std::uint64_t key = 42;
+    const RunResult r = sampleResult();
+    cache.storeResult(key, r);
+    const std::string path = cache.entryPath('r', key);
+    const std::string good = readBytes(path);
 
-    // Clean boundary: no bytes at all is EOF, not an error.
-    EXPECT_EQ(obs::decodeFrame(nullptr, 0, frame, consumed),
-              obs::FrameStatus::Eof);
+    // Every damaged file must be a *warned* miss that also removes the
+    // entry -- never served, never fatal.
+    auto expectWarnedMiss = [&](const std::string &bytes,
+                                const std::string &what) {
+        writeBytes(path, bytes);
+        RunResult out;
+        ::testing::internal::CaptureStderr();
+        bool hit = cache.loadResult(key, out);
+        std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_FALSE(hit) << what;
+        EXPECT_NE(err.find("rejecting corrupt cache entry"),
+                  std::string::npos)
+            << what;
+        EXPECT_FALSE(std::ifstream(path).good()) << what;
+    };
 
-    // Every proper prefix is Incomplete (a reader should wait).
-    for (std::size_t n = 1; n < wire.size(); ++n) {
-        EXPECT_EQ(obs::decodeFrame(
-                      reinterpret_cast<const std::uint8_t *>(wire.data()),
-                      n, frame, consumed),
-                  obs::FrameStatus::Incomplete)
-            << "prefix " << n;
-    }
-
-    // Any flipped byte is Torn: the trailing FNV-1a covers type and
-    // payload, and the length field is bounded.
-    for (std::size_t i = 4; i < wire.size(); ++i) {
-        std::string bad = wire;
+    for (std::size_t n = 0; n < good.size(); ++n)
+        expectWarnedMiss(good.substr(0, n),
+                         "truncated to " + std::to_string(n));
+    for (std::size_t i = 0; i < good.size(); ++i) {
+        std::string bad = good;
         bad[i] = static_cast<char>(bad[i] ^ 0x5a);
-        auto st = obs::decodeFrame(
-            reinterpret_cast<const std::uint8_t *>(bad.data()),
-            bad.size(), frame, consumed);
-        EXPECT_EQ(st, obs::FrameStatus::Torn) << "byte " << i;
+        expectWarnedMiss(bad, "byte " + std::to_string(i) + " flipped");
     }
-}
+    expectWarnedMiss(good + "x", "trailing byte");
 
-TEST(Frame, FdRoundTripAndTornStream)
-{
-    int fds[2];
-    ASSERT_EQ(::pipe(fds), 0);
-    ASSERT_TRUE(obs::writeFrame(fds[1], 9, "over the pipe"));
-    obs::Frame frame;
-    EXPECT_EQ(obs::readFrame(fds[0], frame), obs::FrameStatus::Ok);
-    EXPECT_EQ(frame.type, 9);
-    EXPECT_EQ(frame.payload, "over the pipe");
-
-    // Clean close between frames is EOF...
-    ::close(fds[1]);
-    EXPECT_EQ(obs::readFrame(fds[0], frame), obs::FrameStatus::Eof);
-    ::close(fds[0]);
-
-    // ...but a close mid-frame is Torn (a crashed writer, not a
-    // shutdown).
-    ASSERT_EQ(::pipe(fds), 0);
-    std::string wire = obs::encodeFrame(9, "interrupted");
-    ASSERT_EQ(::write(fds[1], wire.data(), wire.size() / 2),
-              static_cast<ssize_t>(wire.size() / 2));
-    ::close(fds[1]);
-    EXPECT_EQ(obs::readFrame(fds[0], frame), obs::FrameStatus::Torn);
-    ::close(fds[0]);
+    // The undamaged bytes still load.
+    writeBytes(path, good);
+    RunResult out;
+    EXPECT_TRUE(cache.loadResult(key, out));
 }
 
 // ---------------------------------------------------------------------
-// CellSpec serialization and content keys
+// CellSpec content keys
 // ---------------------------------------------------------------------
-
-TEST(FarmCell, SerializeRoundTripPreservesEveryField)
-{
-    farm::CellSpec s = quickSpec(L2Kind::Snuca);
-    s.interconnect = static_cast<std::uint32_t>(InterconnectKind::Mesh);
-    s.enable_cr = 0;
-    s.enable_isc = 0;
-    s.promotion = 2;
-    s.tag_factor = 4;
-    s.audit = 1;
-    s.metrics_interval = 5'000;
-    s.binlog_out = "run.blg";
-    s.seed = 77;
-    s.sample_windows = 3;
-    s.sample_detail = 1'000;
-    s.sample_warmup = 2'000;
-    s.collect_stats_dump = 1;
-    s.collect_stats_csv = 1;
-    s.use_ckpt_cache = 0;
-    s.attempt = 1;
-
-    farm::CellSpec back =
-        farm::deserializeCell(farm::serializeCell(s), "<test>");
-    EXPECT_EQ(farm::serializeCell(back), farm::serializeCell(s));
-    EXPECT_EQ(back.workload, "oltp");
-    EXPECT_EQ(back.attempt, 1u);
-    EXPECT_EQ(back.label(), "snuca/oltp");
-}
 
 TEST(FarmCell, KeysIdentifyContentNotDeliveryAttempt)
 {
+    // Keys hash content: a spec built separately with equal fields
+    // keys the same, whichever caller builds or runs it.
     farm::CellSpec a = quickSpec(L2Kind::Nurapid);
-    farm::CellSpec b = a;
-    b.attempt = 1;  // transport metadata, not content
+    farm::CellSpec b;
+    b.l2_kind = static_cast<std::uint32_t>(L2Kind::Nurapid);
+    b.cores = 2;
+    b.warmup = a.warmup;
+    b.measure = a.measure;
     EXPECT_EQ(farm::cellKey(a), farm::cellKey(b));
     EXPECT_EQ(farm::ckptKey(a), farm::ckptKey(b));
 
@@ -272,13 +275,7 @@ TEST(FarmCache, ResultRoundTripMissAndCorruptionRejection)
     RunResult out;
     EXPECT_FALSE(cache.loadResult(key, out));  // cold
 
-    RunResult r;
-    r.workload = "oltp";
-    r.l2_kind = "shared";
-    r.instructions = 123;
-    r.cycles = 456;
-    r.ipc = 0.27;
-    r.core_ipc = {0.1, 0.2};
+    RunResult r = sampleResult();
     cache.storeResult(key, r);
     ASSERT_TRUE(cache.loadResult(key, out));
     EXPECT_EQ(farm::serializeResult(out), farm::serializeResult(r));
@@ -317,16 +314,23 @@ TEST(FarmCache, CheckpointBlobsShareWarmedStateAcrossRuns)
     farm::Cache cache(dir);
     farm::CellSpec spec = quickSpec(L2Kind::Nurapid);
 
-    // Cold: no blob, so computeCell warms in detail and publishes.
+    // runFarm on one cell; the result cache is bypassed so every call
+    // exercises the checkpoint side.
+    auto compute = [&](const farm::CellSpec &s) {
+        std::remove(cache.entryPath('r', farm::cellKey(s)).c_str());
+        return farm::runFarm({s}, threads(1, dir)).front();
+    };
+
+    // Cold: no blob, so the cell warms in detail and publishes.
     EXPECT_EQ(cache.loadCkpt(farm::ckptKey(spec)), nullptr);
-    RunResult cold = farm::computeCell(spec, cache);
+    RunResult cold = compute(spec);
     auto blob = cache.loadCkpt(farm::ckptKey(spec));
     ASSERT_NE(blob, nullptr);
     EXPECT_TRUE(sample::Checkpoint::checksumOk(*blob));
 
     // Warm: resuming from the cached blob must be invisible in the
     // results -- the restore-exactness contract.
-    RunResult warm = farm::computeCell(spec, cache);
+    RunResult warm = compute(spec);
     EXPECT_EQ(farm::serializeResult(warm), farm::serializeResult(cold));
 
     // A longer measurement shares the same warmed state (ckptKey
@@ -334,27 +338,17 @@ TEST(FarmCache, CheckpointBlobsShareWarmedStateAcrossRuns)
     farm::CellSpec longer = spec;
     longer.measure = spec.measure + 10'000;
     EXPECT_EQ(farm::ckptKey(longer), farm::ckptKey(spec));
-    RunResult extended = farm::computeCell(longer, cache);
+    RunResult extended = compute(longer);
     EXPECT_GT(extended.instructions, cold.instructions);
 
     // A corrupted blob is rejected non-fatally and recomputed.
     std::string path = cache.entryPath('c', farm::ckptKey(spec));
-    std::string bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        bytes = ss.str();
-    }
+    std::string bytes = readBytes(path);
     bytes[bytes.size() / 2] =
         static_cast<char>(bytes[bytes.size() / 2] ^ 0x40);
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
+    writeBytes(path, bytes);
     EXPECT_EQ(cache.loadCkpt(farm::ckptKey(spec)), nullptr);
-    RunResult healed = farm::computeCell(spec, cache);
+    RunResult healed = compute(spec);
     EXPECT_EQ(farm::serializeResult(healed),
               farm::serializeResult(cold));
 }
@@ -411,15 +405,15 @@ TEST(CanonicalWorkload, RunnerResultsMatchMaterializedReplay)
 }
 
 // ---------------------------------------------------------------------
-// Coordinator: differential, cache, crash robustness
+// runFarm: differential, cache, publication
 // ---------------------------------------------------------------------
 
 TEST(Farm, OneAndFourWorkersMatchInProcessByteForByte)
 {
     auto cells = quickGrid();
     auto inproc = runInProcess(cells);
-    auto farm1 = farm::runFarm(cells, cliFarm(1, ""));
-    auto farm4 = farm::runFarm(cells, cliFarm(4, ""));
+    auto farm1 = farm::runFarm(cells, threads(1, ""));
+    auto farm4 = farm::runFarm(cells, threads(4, uniqueDir("farm_cold4")));
     expectSameResults(inproc, farm1);
     expectSameResults(inproc, farm4);
 }
@@ -428,40 +422,89 @@ TEST(Farm, WarmCacheServesIdenticalResultsWithoutWorkers)
 {
     std::string dir = uniqueDir("farm_warm");
     auto cells = quickGrid();
-    auto cold = farm::runFarm(cells, cliFarm(2, dir));
+    auto cold = farm::runFarm(cells, threads(2, dir));
 
-    // All cells now cached: the warm run resolves in the pre-pass.
+    // All cells now cached: the warm run serves every cell from the
+    // cache and runs nothing.
     farm::Cache cache(dir);
     for (const auto &spec : cells) {
         RunResult hit;
         EXPECT_TRUE(cache.loadResult(farm::cellKey(spec), hit))
             << spec.label();
     }
-    auto warm = farm::runFarm(cells, cliFarm(2, dir));
+    auto warm = farm::runFarm(cells, threads(2, dir));
     expectSameResults(cold, warm);
     expectSameResults(runInProcess(cells), warm);
 }
 
-TEST(Farm, CrashedWorkerIsRequeuedOnceWithIdenticalResults)
+TEST(FarmCache, ConcurrentStoresOfOneKeyLeaveOneValidEntry)
 {
-    ASSERT_EQ(::setenv("CNSIM_FARM_TEST_CRASH_CELL", "snuca/oltp", 1),
-              0);
-    auto cells = quickGrid();
-    auto results = farm::runFarm(cells, cliFarm(2, ""));
-    ASSERT_EQ(::unsetenv("CNSIM_FARM_TEST_CRASH_CELL"), 0);
-    expectSameResults(runInProcess(cells), results);
+    // Two cells of one batch that differ only in measurement budget
+    // share a ckptKey, so threads of one process can publish the same
+    // entry at once; each writer needs its own temp file.
+    std::string dir = uniqueDir("farm_race");
+    farm::Cache cache(dir);
+    farm::CellSpec spec = quickSpec(L2Kind::Nurapid);
+    std::string blob;
+    {
+        ParallelJob job = farm::buildJob(spec);
+        auto out = std::make_shared<std::string>();
+        job.run_cfg.ckpt_blob_out = out;
+        job.run_cfg.replay =
+            Runner::acquireSharedTrace(job.workload, job.run_cfg);
+        (void)Runner::run(job.sys_cfg, job.workload, job.run_cfg);
+        blob = *out;
+    }
+    ASSERT_TRUE(sample::Checkpoint::checksumOk(blob));
+
+    const std::uint64_t key = farm::ckptKey(spec);
+    for (int round = 0; round < 4; ++round) {
+        // A shared temp file makes a writer's rename fail (another
+        // writer already moved the file) or publish a file another
+        // writer is still truncating and rewriting; both warn.
+        ::testing::internal::CaptureStderr();
+        std::vector<std::thread> writers;
+        for (int t = 0; t < 8; ++t)
+            writers.emplace_back([&]() { cache.storeCkpt(key, blob); });
+        for (auto &w : writers)
+            w.join();
+        EXPECT_EQ(::testing::internal::GetCapturedStderr(), "")
+            << "round " << round;
+        auto loaded = cache.loadCkpt(key);
+        ASSERT_NE(loaded, nullptr) << "round " << round;
+        EXPECT_TRUE(sample::Checkpoint::checksumOk(*loaded));
+        EXPECT_EQ(*loaded, blob);
+    }
+    for (const std::string &name : listDir(dir))
+        EXPECT_EQ(name.find(".tmp."), std::string::npos) << name;
 }
 
-TEST(FarmDeathTest, SecondCrashFailsTheSweepWithCellKeyAndStderr)
+TEST(FarmCache, BinlogCellsRunInFullEvenWithACachedCheckpoint)
 {
-    ASSERT_EQ(::setenv("CNSIM_FARM_TEST_CRASH_CELL",
-                       "snuca/oltp:always", 1),
-              0);
-    auto cells = quickGrid();
-    EXPECT_EXIT(farm::runFarm(cells, cliFarm(2, "")),
-                ::testing::ExitedWithCode(1),
-                "cell snuca/oltp .* failed twice.*synthetic crash");
-    ASSERT_EQ(::unsetenv("CNSIM_FARM_TEST_CRASH_CELL"), 0);
+    // A binlog cell is never served from the cache, and it must not
+    // resume from a cached warm-up either: its log would lose the
+    // warm-up metrics snapshots. Its log must equal a cache-less run's.
+    const std::string dir = uniqueDir("farm_binlog");
+    farm::CellSpec spec = quickSpec(L2Kind::Nurapid);
+    spec.metrics_interval = 5'000;
+    (void)farm::runFarm({spec}, threads(1, dir));  // publishes the blob
+    farm::Cache cache(dir);
+    ASSERT_NE(cache.loadCkpt(farm::ckptKey(spec)), nullptr);
+
+    const std::string tmp = ::testing::TempDir();
+    farm::CellSpec plain = spec;
+    plain.binlog_out = tmp + "cnsim_farm_plain.blg";
+    farm::CellSpec cached = spec;
+    cached.binlog_out = tmp + "cnsim_farm_cached.blg";
+    EXPECT_EQ(farm::ckptKey(cached), farm::ckptKey(spec));
+    RunResult a = farm::runFarm({plain}, threads(1, "")).front();
+    RunResult b = farm::runFarm({cached}, threads(1, dir)).front();
+    EXPECT_EQ(farm::serializeResult(a), farm::serializeResult(b));
+    std::string plain_log = readBytes(plain.binlog_out);
+    EXPECT_FALSE(plain_log.empty());
+    EXPECT_EQ(plain_log, readBytes(cached.binlog_out));
+    std::remove(plain.binlog_out.c_str());
+    std::remove(cached.binlog_out.c_str());
 }
 
 TEST(FarmDeathTest, SharedBinlogIsFatalBeforeAnyCellRuns)
@@ -473,10 +516,35 @@ TEST(FarmDeathTest, SharedBinlogIsFatalBeforeAnyCellRuns)
     cells.resize(2);
     for (farm::CellSpec &c : cells)
         c.binlog_out = path;
-    EXPECT_EXIT(farm::runFarm(cells, cliFarm(2, "")),
+    EXPECT_EXIT(farm::runFarm(cells, threads(2, "")),
                 ::testing::ExitedWithCode(1),
                 "two runs stream to one binlog");
     EXPECT_FALSE(std::ifstream(path).good()) << "a cell ran";
+}
+
+TEST(FarmDeathTest, FinishedCellsArePublishedBeforeALaterCellDies)
+{
+    // One worker runs the cells in order; the last one cannot open its
+    // binlog and fatal()s. Everything before it is already cached. The
+    // directory name is fixed because a threadsafe-style death test
+    // re-runs this body in a fresh process.
+    const std::string dir =
+        std::string(::testing::TempDir()) + "cnsim_farm_partial";
+    for (const std::string &name : listDir(dir))
+        std::remove((dir + "/" + name).c_str());
+    auto cells = quickGrid();
+    cells.back().binlog_out = dir + "/no/such/dir/run.blg";
+    EXPECT_EXIT(farm::runFarm(cells, threads(1, dir)),
+                ::testing::ExitedWithCode(1), "cannot open binlog");
+
+    farm::Cache cache(dir);
+    for (std::size_t i = 0; i + 1 < cells.size(); ++i) {
+        RunResult hit;
+        EXPECT_TRUE(cache.loadResult(farm::cellKey(cells[i]), hit))
+            << cells[i].label();
+        EXPECT_NE(cache.loadCkpt(farm::ckptKey(cells[i])), nullptr)
+            << cells[i].label();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -486,7 +554,7 @@ TEST(FarmDeathTest, SharedBinlogIsFatalBeforeAnyCellRuns)
 TEST(GridIndependence, EveryCellMatchesItsSoloRunInPoolsAndFarms)
 {
     // A cell's result depends only on (config, workload, seed): not on
-    // the grid around it, the worker count, or the process it runs in.
+    // the grid around it, the worker count, or the cache.
     // The in-process jobs come straight from the public API and name
     // no stream, exactly like a user's own Runner::run call.
     const auto cells = quickGrid();
@@ -509,9 +577,10 @@ TEST(GridIndependence, EveryCellMatchesItsSoloRunInPoolsAndFarms)
         solo.push_back(Runner::run(j.sys_cfg, j.workload, j.run_cfg));
     expectSameResults(solo, ParallelRunner::runAll(jobs, 1));
     expectSameResults(solo, ParallelRunner::runAll(jobs, 4));
-    expectSameResults(solo, farm::runFarm(cells, cliFarm(1, "")));
-    expectSameResults(
-        solo, farm::runFarm(cells, cliFarm(2, uniqueDir("farm_grid"))));
+    expectSameResults(solo, farm::runFarm(cells, threads(1, "")));
+    const std::string dir = uniqueDir("farm_grid");
+    expectSameResults(solo, farm::runFarm(cells, threads(2, dir)));
+    expectSameResults(solo, farm::runFarm(cells, threads(2, dir)));
 }
 
 } // namespace

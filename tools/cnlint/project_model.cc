@@ -396,7 +396,7 @@ layerDag()
         // The experiment farm sits above sim: it composes whole runs
         // into sweeps, so it may use the composition layer itself (and
         // reaches trace/workload vocabulary through sim's headers).
-        {"farm", {"common", "sim", "sample", "obs"}},
+        {"farm", {"common", "sim", "sample"}},
     };
     return dag;
 }

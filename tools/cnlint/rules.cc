@@ -1002,11 +1002,8 @@ ruleC003MutableStatic(const SourceFile &f, const ProjectModel &pm,
 void
 ruleC004ProcessControl(const SourceFile &f, std::vector<Finding> &out)
 {
-    // Process control lives in one place, the way CNL-C002 keeps raw
-    // threads in one place: src/farm/ owns fork/exec/waitpid so worker
-    // lifecycle, stderr capture, and requeue policy cannot scatter.
-    if (f.path.find("farm/") != std::string::npos)
-        return;
+    // Sweeps run on the ParallelRunner's threads (CNL-C002 keeps raw
+    // threads there); nothing in the tree spawns or reaps a process.
     static const char *const banned[] = {
         "fork", "vfork", "execl", "execlp", "execle", "execv",
         "execvp", "execve", "posix_spawn", "posix_spawnp", "waitpid",
@@ -1021,9 +1018,9 @@ ruleC004ProcessControl(const SourceFile &f, std::vector<Finding> &out)
                 continue;
             emit(f, out, ts[i], "CNL-C004",
                  "process-control call '" + ts[i].text +
-                     "' outside src/farm/; spawn and reap workers "
-                     "through the farm coordinator so crash handling "
-                     "and requeue policy stay in one place");
+                     "'; run parallel work as ParallelRunner jobs "
+                     "(farm::runFarm for cached sweeps), not as child "
+                     "processes");
             break;
         }
     }
@@ -1130,7 +1127,7 @@ ruleCatalog()
          "raw std::thread outside ParallelRunner/BinlogWriter", true},
         {"CNL-C003", "unannotated mutable static", true},
         {"CNL-C004",
-         "process-control call (fork/exec/waitpid) outside src/farm/",
+         "process-control call (fork/exec/waitpid)",
          true},
         {"CNL-D001",
          "banned random source; use a seeded cnsim::Rng", true},

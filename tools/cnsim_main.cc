@@ -19,18 +19,18 @@
  *
  * Every cell reads the canonical reference stream of its (workload,
  * seed), so a cell prints the same row alone, in any grid, and at any
- * --jobs or --farm-jobs value.
+ * --jobs value.
  *
- * --farm-jobs moves the fan-out from threads to worker *processes*
- * with a content-addressed result/checkpoint cache (src/farm/); the
- * printed table stays byte-identical to the in-process path. The same
- * binary is also the farm worker (`cnsim --worker`, spawned by the
- * coordinator).
+ * Each cell is one farm::CellSpec and runs through farm::runFarm.
+ * --cache-dir <dir> turns on its content-addressed result/checkpoint
+ * cache (src/farm/): cached cells print without running, and cells
+ * sharing a warm-up resume from a cached checkpoint. The printed table
+ * is byte-identical with or without the cache. Without --cache-dir
+ * nothing is read or written outside the named output files.
  */
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -39,9 +39,7 @@
 
 #include "common/cli.hh"
 #include "common/logging.hh"
-#include "farm/cache.hh"
-#include "farm/coordinator.hh"
-#include "farm/worker.hh"
+#include "farm/sweep.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/runner.hh"
 #include "trace/replay.hh"
@@ -80,16 +78,12 @@ usage(const char *argv0)
         "  --jobs <N>         worker threads for grid sweeps (default: "
         "hardware\n"
         "                     concurrency; results identical for any N)\n"
-        "  --farm-jobs <N>    run the sweep on N worker *processes* "
-        "with a\n"
-        "                     content-addressed result/checkpoint cache "
-        "(0 =\n"
-        "                     hardware concurrency; results identical "
-        "to --jobs)\n"
-        "  --cache-dir <dir>  farm cache directory (default "
-        "$CNSIM_CACHE_DIR,\n"
-        "                     else ~/.cache/cnsim; '' disables "
-        "caching)\n"
+        "  --cache-dir <dir>  content-addressed result/checkpoint cache: "
+        "cached cells\n"
+        "                     print without running, shared warm-ups "
+        "resume from a\n"
+        "                     cached checkpoint (default: no cache; "
+        "results identical)\n"
         "  --sample-windows <K>  interval sampling: K detailed windows "
         "separated by\n"
         "                     decode-only fast-forward, functional "
@@ -141,13 +135,7 @@ usage(const char *argv0)
         "CNTRF001 trace\n"
         "                     (single workload name for labeling only)"
         "\n"
-        "  --list             list workloads and organizations\n"
-        "subcommands:\n"
-        "  --worker [--cache-dir <dir>]\n"
-        "                     farm worker loop on stdin/stdout "
-        "(spawned by the\n"
-        "                     --farm-jobs coordinator; not for "
-        "interactive use)\n",
+        "  --list             list workloads and organizations\n",
         argv0);
 }
 
@@ -226,43 +214,23 @@ parseWorkloads(const std::string &s)
 int
 main(int argc, char **argv)
 {
-    // Subcommand dispatch before regular flag parsing: the worker mode
-    // is a protocol loop, not a sweep driver.
-    if (argc > 1 && std::strcmp(argv[1], "--worker") == 0) {
-        std::string cache_dir;
-        for (int i = 2; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--cache-dir") == 0 && i + 1 < argc)
-                cache_dir = argv[++i];
-            else
-                fatal("--worker accepts only --cache-dir <dir>, "
-                      "got '%s'", argv[i]);
-        }
-        return farm::workerMain(cache_dir);
-    }
-
     std::string l2_arg = "nurapid";
     std::string wl_arg = "oltp";
-    int cores = 4;
-    InterconnectKind icn = InterconnectKind::Bus;
-    RunConfig rc;
-    rc.warmup_instructions = 6'000'000;
-    rc.measure_instructions = 10'000'000;
+    // Every cell of the grid is this spec with its own organization,
+    // workload and binlog path.
+    farm::CellSpec base;
+    base.warmup = 6'000'000;
+    base.measure = 10'000'000;
     unsigned jobs = ParallelRunner::defaultWorkers();
-    int farm_jobs = -1;  // -1 off, 0 hardware concurrency, N workers
-    std::string cache_dir = farm::Cache::defaultDir();
+    std::string cache_dir;
     bool want_stats = false;
-    bool no_cr = false;
-    bool no_isc = false;
     std::string promotion = "fastest";
-    unsigned tag_factor = 2;
     std::string ckpt_save_path;
     std::string ckpt_load_path;
     std::string trace_capture_path;
     std::string trace_replay_path;
     std::string stats_csv_path;
     std::string binlog_out;
-    std::uint64_t metrics_interval = 0;
-    bool audit = false;
 
     constexpr std::uint64_t any = std::numeric_limits<std::uint64_t>::max();
     constexpr std::uint64_t max_workers = 1024;
@@ -281,19 +249,18 @@ main(int argc, char **argv)
         } else if (a == "--workload") {
             wl_arg = next();
         } else if (a == "--cores") {
-            cores = static_cast<int>(count(1, 64));
+            base.cores = static_cast<std::uint32_t>(count(1, 64));
         } else if (a == "--interconnect") {
-            icn = parseInterconnect(next());
+            base.interconnect =
+                static_cast<std::uint32_t>(parseInterconnect(next()));
         } else if (a == "--warmup") {
-            rc.warmup_instructions = count(0, any);
+            base.warmup = count(0, any);
         } else if (a == "--measure") {
-            rc.measure_instructions = count(1, any);
+            base.measure = count(1, any);
         } else if (a == "--seed") {
-            rc.seed = count(0, any);
+            base.seed = count(0, any);
         } else if (a == "--jobs") {
             jobs = static_cast<unsigned>(count(1, max_workers));
-        } else if (a == "--farm-jobs") {
-            farm_jobs = static_cast<int>(count(0, max_workers));
         } else if (a == "--cache-dir") {
             cache_dir = next();
         } else if (a == "--stats") {
@@ -303,26 +270,26 @@ main(int argc, char **argv)
         } else if (a == "--binlog-out") {
             binlog_out = next();
         } else if (a == "--metrics-interval") {
-            metrics_interval = count(0, any);
+            base.metrics_interval = count(0, any);
         } else if (a == "--audit") {
-            audit = true;
+            base.audit = 1;
         } else if (a == "--no-cr") {
-            no_cr = true;
+            base.enable_cr = 0;
         } else if (a == "--no-isc") {
-            no_isc = true;
+            base.enable_isc = 0;
         } else if (a == "--promotion") {
             promotion = next();
         } else if (a == "--tag-factor") {
-            tag_factor = static_cast<unsigned>(count(1, 4));
-            if (tag_factor == 3)
+            base.tag_factor = static_cast<std::uint32_t>(count(1, 4));
+            if (base.tag_factor == 3)
                 fatal("--tag-factor must be 1, 2 or 4, got '3'");
         } else if (a == "--sample-windows") {
-            rc.sample_windows = static_cast<unsigned>(
-                count(1, std::numeric_limits<unsigned>::max()));
+            base.sample_windows = static_cast<std::uint32_t>(
+                count(1, std::numeric_limits<std::uint32_t>::max()));
         } else if (a == "--sample-detail") {
-            rc.sample_detail = count(0, any);
+            base.sample_detail = count(0, any);
         } else if (a == "--sample-warmup") {
-            rc.sample_warmup = count(0, any);
+            base.sample_warmup = count(0, any);
         } else if (a == "--ckpt-save") {
             ckpt_save_path = next();
         } else if (a == "--ckpt-load") {
@@ -352,29 +319,34 @@ main(int argc, char **argv)
         }
     }
 
-    rc.collect_stats_dump = want_stats;
-    rc.collect_stats_csv = !stats_csv_path.empty();
+    if (promotion == "next-fastest")
+        base.promotion =
+            static_cast<std::uint32_t>(PromotionPolicy::NextFastest);
+    else if (promotion == "none")
+        base.promotion = static_cast<std::uint32_t>(PromotionPolicy::None);
+    else if (promotion != "fastest")
+        fatal("unknown promotion policy '%s'", promotion.c_str());
+    base.collect_stats_dump = want_stats ? 1 : 0;
+    base.collect_stats_csv = stats_csv_path.empty() ? 0 : 1;
     // Metrics snapshots stream to the binlog and nowhere else.
-    if (metrics_interval > 0 && binlog_out.empty())
+    if (base.metrics_interval > 0 && binlog_out.empty())
         fatal("--metrics-interval needs --binlog-out: snapshots stream "
               "to the binlog (render them with `cntrace csv`)");
 
-    const bool ckpt =
-        !ckpt_save_path.empty() || !ckpt_load_path.empty();
     if (!ckpt_save_path.empty() && !ckpt_load_path.empty())
         fatal("--ckpt-save and --ckpt-load are mutually exclusive");
     if (!trace_capture_path.empty() && !trace_replay_path.empty())
         fatal("--trace-capture and --trace-replay are mutually "
               "exclusive");
-
-    const bool farm_mode = farm_jobs >= 0;
-    if (farm_mode) {
+    // A cell's cache key covers its spec, not a user-supplied stream
+    // or checkpoint file.
+    if (!cache_dir.empty()) {
         if (!trace_capture_path.empty() || !trace_replay_path.empty())
-            fatal("--farm-jobs cannot capture or replay CNTRF001 "
+            fatal("--cache-dir cannot capture or replay CNTRF001 "
                   "traces; cells rebuild their canonical streams from "
                   "parameters");
-        if (ckpt)
-            fatal("--farm-jobs manages warmed state through its "
+        if (!ckpt_save_path.empty() || !ckpt_load_path.empty())
+            fatal("--cache-dir manages warmed state through its "
                   "checkpoint cache; drop --ckpt-save/--ckpt-load");
     }
 
@@ -404,108 +376,57 @@ main(int argc, char **argv)
     }
     std::vector<std::pair<std::string, std::shared_ptr<RecordedTrace>>>
         captured;
-    auto trace_for = [&](const std::string &w)
+    auto trace_for = [&](const ParallelJob &job)
         -> std::shared_ptr<RecordedTrace> {
         if (frozen)
             return frozen;
         if (trace_capture_path.empty())
             return nullptr;
         for (const auto &ct : captured)
-            if (ct.first == w)
+            if (ct.first == job.workload.name)
                 return ct.second;
-        captured.emplace_back(w, Runner::acquireSharedTrace(
-                                     workloads::byName(w, cores), rc));
+        captured.emplace_back(
+            job.workload.name,
+            Runner::acquireSharedTrace(job.workload, job.run_cfg));
         return captured.back().second;
     };
 
-    ParallelRunner pool(jobs);
-    std::vector<farm::CellSpec> farm_cells;
-    std::vector<RunResult> results;
+    std::vector<farm::CellSpec> cells;
+    std::vector<ParallelJob> batch;
     for (L2Kind kind : kind_list) {
-        SystemConfig cfg = Runner::paperConfig(kind, cores, icn);
-        cfg.nurapid.enable_cr = !no_cr;
-        cfg.nurapid.enable_isc = !no_isc;
-        cfg.nurapid.tag_factor = tag_factor;
-        if (promotion == "next-fastest")
-            cfg.nurapid.promotion = PromotionPolicy::NextFastest;
-        else if (promotion == "none")
-            cfg.nurapid.promotion = PromotionPolicy::None;
-        else if (promotion != "fastest")
-            fatal("unknown promotion policy '%s'", promotion.c_str());
-        cfg.obs.audit = audit;
-        cfg.obs.metrics_interval = metrics_interval;
-
         for (const auto &w : wl_list) {
-            RunConfig run = rc;
-            run.replay = trace_for(w);
-            if (run.replay && run.replay->cores() != cfg.num_cores) {
+            // Grid sweeps write one file per run, tagged by cell.
+            const std::string tag = std::string(toString(kind)) + "-" + w;
+            auto per_cell = [&](const std::string &path) {
+                return multi && !path.empty() ? tagPath(path, tag) : path;
+            };
+            farm::CellSpec spec = base;
+            spec.l2_kind = static_cast<std::uint32_t>(kind);
+            spec.workload = w;
+            spec.binlog_out = per_cell(binlog_out);
+            ParallelJob job = farm::buildJob(spec);
+            job.run_cfg.replay = trace_for(job);
+            if (job.run_cfg.replay &&
+                job.run_cfg.replay->cores() != job.sys_cfg.num_cores)
                 fatal("trace '%s' has %d cores but the system has %d",
-                      trace_replay_path.c_str(), run.replay->cores(),
-                      cfg.num_cores);
-            }
-            // Grid sweeps write one binlog per run, tagged by cell.
-            if (!binlog_out.empty())
-                run.binlog_out =
-                    multi ? tagPath(binlog_out,
-                                    std::string(toString(kind)) + "-" + w)
-                          : binlog_out;
+                      trace_replay_path.c_str(),
+                      job.run_cfg.replay->cores(), job.sys_cfg.num_cores);
             // Checkpoints are config-strict, so grid sweeps keep one
             // file per cell.
-            if (!ckpt_save_path.empty())
-                run.ckpt_save =
-                    multi ? tagPath(ckpt_save_path,
-                                    std::string(toString(kind)) + "-" + w)
-                          : ckpt_save_path;
-            if (!ckpt_load_path.empty())
-                run.ckpt_load =
-                    multi ? tagPath(ckpt_load_path,
-                                    std::string(toString(kind)) + "-" + w)
-                          : ckpt_load_path;
-            if (farm_mode) {
-                farm::CellSpec spec;
-                spec.l2_kind = static_cast<std::uint32_t>(kind);
-                spec.cores = static_cast<std::uint32_t>(cores);
-                spec.interconnect = static_cast<std::uint32_t>(icn);
-                spec.enable_cr = cfg.nurapid.enable_cr ? 1 : 0;
-                spec.enable_isc = cfg.nurapid.enable_isc ? 1 : 0;
-                spec.promotion =
-                    static_cast<std::uint32_t>(cfg.nurapid.promotion);
-                spec.tag_factor = tag_factor;
-                spec.audit = audit ? 1 : 0;
-                spec.metrics_interval = metrics_interval;
-                spec.binlog_out = run.binlog_out;
-                spec.workload = w;
-                spec.warmup = rc.warmup_instructions;
-                spec.measure = rc.measure_instructions;
-                spec.quantum = rc.quantum;
-                spec.seed = rc.seed;
-                spec.sample_windows = rc.sample_windows;
-                spec.sample_detail = rc.sample_detail;
-                spec.sample_warmup = rc.sample_warmup;
-                spec.collect_stats_dump = rc.collect_stats_dump ? 1 : 0;
-                spec.collect_stats_csv = rc.collect_stats_csv ? 1 : 0;
-                farm_cells.push_back(spec);
-            } else {
-                pool.submit(cfg, workloads::byName(w, cores), run);
-            }
+            job.run_cfg.ckpt_save = per_cell(ckpt_save_path);
+            job.run_cfg.ckpt_load = per_cell(ckpt_load_path);
+            cells.push_back(std::move(spec));
+            batch.push_back(std::move(job));
         }
     }
 
-    if (farm_mode) {
-        farm::FarmOptions fo;
-        fo.workers = static_cast<unsigned>(farm_jobs);
-        fo.cache_dir = cache_dir;
-        results = farm::runFarm(farm_cells, fo);
-    } else {
-        pool.onProgress([](const JobReport &rep) {
-            inform("[%zu/%zu] %s/%s: %.1fs", rep.completed, rep.total,
-                   rep.result->l2_kind.c_str(),
-                   rep.result->workload.c_str(), rep.seconds);
-        });
-        results = pool.run();
-    }
+    farm::FarmOptions fo;
+    fo.workers = jobs;
+    fo.cache_dir = cache_dir;
+    const std::vector<RunResult> results =
+        farm::runFarm(cells, std::move(batch), fo);
 
-    const bool any_sampled = rc.sample_windows > 0;
+    const bool any_sampled = base.sample_windows > 0;
     std::printf("%-8s %-10s %8s %s%8s %8s %8s %8s %9s\n", "l2",
                 "workload", "IPC", any_sampled ? "  +/-ci95 " : "",
                 "hit%", "ros%", "rws%", "cap%", "cycles");
@@ -520,7 +441,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(r.cycles));
         if (want_stats)
             std::printf("%s\n", r.stats_dump.c_str());
-        if (audit || !binlog_out.empty())
+        if (base.audit || !binlog_out.empty())
             inform("%s/%s: %llu binlog records, %llu audited transitions",
                    r.l2_kind.c_str(), r.workload.c_str(),
                    static_cast<unsigned long long>(r.trace_events),
