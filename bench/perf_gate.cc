@@ -38,8 +38,7 @@
  *    (RunConfig::canonical_live -- generator plus parking FIFO, 7
  *    times), "replay" is what planStreams() selects for 7 sharers
  *    (generate once, materialize as flat in-memory record chunks,
- *    every cell reads a plain array cursor; the varint codec exists
- *    only at the CNTRF001 file boundary). speedup = canonical/replay
+ *    every cell reads a plain array cursor). speedup = canonical/replay
  *    and must not drop below 1: if it does, the policy is
  *    materializing where regeneration is cheaper. The arms alternate
  *    within each rep so slow host drift hits both sides equally.

@@ -2,9 +2,10 @@
  * @file
  * FNV-1a, the project's one content hash.
  *
- * Trace provenance hashes (CNTRF001), CNCKPT01 checksums, result-cache
- * keys and cache-entry checksums all use this function, so a stored
- * hash means the same thing wherever it is read back.
+ * Trace provenance hashes (RecordedTrace::hashParams, which CNCKPT01
+ * checks on resume), CNCKPT01 checksums, result-cache keys and
+ * cache-entry checksums all use this function, so a stored hash means
+ * the same thing wherever it is read back.
  */
 
 #ifndef CNSIM_COMMON_HASH_HH

@@ -38,11 +38,12 @@ constexpr std::uint64_t entry_max_payload = 256u * 1024 * 1024;
 /** Numbers the temp files of this process's writers apart. */
 std::atomic<std::uint64_t> tmp_serial{0};
 
+/** Write @p v as @p bytes little-endian bytes. */
 void
-putLE(std::string &out, std::uint64_t v, int bytes)
+putLE(std::ostream &out, std::uint64_t v, int bytes)
 {
     for (int i = 0; i < bytes; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+        out.put(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
 std::uint64_t
@@ -61,18 +62,17 @@ entryChecksum(char kind, const char *payload, std::size_t n)
     return fnv1a(payload, n, fnv1a(&kind, 1));
 }
 
-/** The complete entry file for @p payload (see cache.hh). */
-std::string
-encodeEntry(char kind, const std::string &payload)
+/** Write the complete entry file for @p payload (see cache.hh)
+ *  straight to @p out, without staging a copy of the payload. */
+void
+writeEntry(std::ostream &out, char kind, const std::string &payload)
 {
-    std::string out(entry_magic, sizeof(entry_magic));
-    out.reserve(sizeof(entry_magic) + entry_header_bytes +
-                payload.size() + entry_trailer_bytes);
+    out.write(entry_magic, sizeof(entry_magic));
     putLE(out, payload.size(), 4);
-    out.push_back(kind);
-    out.append(payload);
+    out.put(kind);
+    out.write(payload.data(),
+              static_cast<std::streamsize>(payload.size()));
     putLE(out, entryChecksum(kind, payload.data(), payload.size()), 8);
-    return out;
 }
 
 /** Validate entry file @p bytes as kind @p kind and extract its
@@ -191,9 +191,8 @@ Cache::storeEntry(char kind, std::uint64_t key,
             warn("cannot write cache entry '%s'", tmp.c_str());
             return;
         }
-        std::string entry = encodeEntry(kind, payload);
-        out.write(entry.data(),
-                  static_cast<std::streamsize>(entry.size()));
+        writeEntry(out, kind, payload);
+        out.flush();
         if (!out.good()) {
             warn("short write on cache entry '%s'", tmp.c_str());
             ::unlink(tmp.c_str());

@@ -9,9 +9,9 @@
  * coherence directories, resource occupancies) written by the System
  * through the same Writer.
  *
- * The format follows the CNTRF001 trace-file discipline: a fixed magic,
- * an explicit version, little-endian fixed-width fields, full bounds
- * validation on every read, and an FNV-1a checksum over the payload so
+ * The format is strict: a fixed magic, an explicit version,
+ * little-endian fixed-width fields, full bounds validation on every
+ * read, and an FNV-1a checksum over the payload so
  * truncation and bit corruption are user errors (fatal), never memory
  * errors. Checkpoints are config-strict: the core count, L2
  * organization, interconnect, and trace provenance hash must match the

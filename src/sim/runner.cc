@@ -174,9 +174,9 @@ void
 Runner::validate(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
                  const RunConfig &run_cfg)
 {
-    // These are user-input mistakes (wrong --cores, a stale trace
-    // file), not simulator bugs, so they exit cleanly via fatal()
-    // instead of panicking with a backtrace.
+    // These are input mistakes (wrong --cores, a workload or trace
+    // built for another core count), not simulator bugs, so they exit
+    // cleanly via fatal() instead of panicking with a backtrace.
     if (sys_cfg.num_cores < 1 || sys_cfg.num_cores > 64)
         fatal("core count must be between 1 and 64, got %d",
               sys_cfg.num_cores);
@@ -188,7 +188,7 @@ Runner::validate(const SystemConfig &sys_cfg, const WorkloadSpec &workload,
               sys_cfg.num_cores);
     if (run_cfg.replay && run_cfg.replay->cores() != sys_cfg.num_cores)
         fatal("replay trace has %d cores but the system has %d; "
-              "recapture the trace at this core count",
+              "build the trace from this core count's workload",
               run_cfg.replay->cores(), sys_cfg.num_cores);
     if (run_cfg.canonical_live && run_cfg.replay)
         fatal("canonical-live generation and trace replay are mutually "

@@ -55,17 +55,17 @@ struct RunConfig
      * The trace's core count must match the system's; the workload's
      * synthetic params are bypassed. planStreams() (sim/
      * parallel_runner.hh) attaches the shared trace of the run's
-     * (workload, seed) when materializing pays; --trace-replay
-     * attaches a captured file.
+     * (workload, seed) when materializing pays.
      */
     std::shared_ptr<RecordedTrace> replay;
 
     /**
      * Drive the cores from a CanonicalWorkload: the canonical
      * round-robin stream regenerated inline, positionally identical
-     * to a materialized replay of the same effective params at zero
-     * codec cost (trace/replay.hh). Mutually exclusive with `replay`;
-     * a run that sets neither is planned by planStreams().
+     * to a materialized replay of the same effective params, without
+     * holding the stream in memory (trace/replay.hh). Mutually
+     * exclusive with `replay`; a run that sets neither is planned by
+     * planStreams().
      */
     bool canonical_live = false;
 

@@ -4,7 +4,6 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "trace/trace_file.hh"
 
 namespace cnsim
 {
@@ -19,85 +18,6 @@ namespace
  * so readers can index them without synchronizing with growth.
  */
 constexpr std::size_t max_chunks = 8192;
-
-inline std::uint64_t
-zigzag(std::uint64_t prev, std::uint64_t now)
-{
-    std::int64_t d = static_cast<std::int64_t>(now - prev);
-    return (static_cast<std::uint64_t>(d) << 1) ^
-           static_cast<std::uint64_t>(d >> 63);
-}
-
-inline std::uint64_t
-unzigzag(std::uint64_t z)
-{
-    return (z >> 1) ^ (~(z & 1) + 1);
-}
-
-inline void
-putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(v));
-}
-
-/** Hot-path decode: the buffer is trusted (validated or generated). */
-inline std::uint64_t
-getVarint(const std::uint8_t *&p)
-{
-    std::uint8_t b = *p++;
-    std::uint64_t v = b & 0x7f;
-    unsigned shift = 7;
-    while (b & 0x80) {
-        b = *p++;
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        shift += 7;
-    }
-    return v;
-}
-
-/** Validating decode for untrusted bytes. */
-inline bool
-getVarintChecked(const std::uint8_t *&p, const std::uint8_t *end,
-                 std::uint64_t &v)
-{
-    v = 0;
-    unsigned shift = 0;
-    while (p != end && shift < 70) {
-        std::uint8_t b = *p++;
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            return true;
-        shift += 7;
-    }
-    return false;
-}
-
-inline std::uint32_t
-opCode(MemOp op)
-{
-    switch (op) {
-      case MemOp::Load: return 0;
-      case MemOp::Store: return 1;
-      case MemOp::Ifetch: return 2;
-    }
-    cnsim_unreachable("MemOp");
-}
-
-inline void
-encodeRecord(std::vector<std::uint8_t> &out, Addr &prev_iaddr,
-             Addr &prev_addr, const TraceRecord &rec)
-{
-    putVarint(out, (static_cast<std::uint64_t>(rec.gap) << 2) |
-                       opCode(rec.op));
-    putVarint(out, zigzag(prev_iaddr, rec.iaddr));
-    putVarint(out, zigzag(prev_addr, rec.addr));
-    prev_iaddr = rec.iaddr;
-    prev_addr = rec.addr;
-}
 
 void
 appendBytes(std::string &out, const void *p, std::size_t n)
@@ -167,37 +87,10 @@ serializeParams(const SynthWorkloadParams &params)
 
 } // namespace
 
-bool
-PackedStreamReader::next(TraceRecord &out)
-{
-    if (cur == end || bad)
-        return false;
-    std::uint64_t go = 0, di = 0, da = 0;
-    if (!getVarintChecked(cur, end, go) ||
-        !getVarintChecked(cur, end, di) ||
-        !getVarintChecked(cur, end, da) || (go & 3) == 3 ||
-        (go >> 2) > 0xffffffffULL) {
-        bad = true;
-        return false;
-    }
-    out.gap = static_cast<std::uint32_t>(go >> 2);
-    out.op = (go & 3) == 0   ? MemOp::Load
-             : (go & 3) == 1 ? MemOp::Store
-                             : MemOp::Ifetch;
-    prev_iaddr += unzigzag(di);
-    prev_addr += unzigzag(da);
-    out.iaddr = prev_iaddr;
-    out.addr = prev_addr;
-    ++n_decoded;
-    return true;
-}
-
-RecordedTrace::RecordedTrace() = default;
-
 RecordedTrace::RecordedTrace(const SynthWorkloadParams &params)
     : num_cores(static_cast<int>(params.threads.size())),
       trace_seed(params.seed), params_hash(hashParams(params)),
-      synth(std::make_unique<SynthWorkload>(params))
+      synth(params)
 {
     slots.resize(params.threads.size());
     for (auto &core_slots : slots)
@@ -234,7 +127,7 @@ RecordedTrace::grow(std::size_t idx)
         // replayed stream, making it identical across organizations.
         for (std::uint32_t r = 0; r < chunk_records; ++r) {
             for (int c = 0; c < num_cores; ++c) {
-                TraceRecord rec = synth->source(c).next();
+                TraceRecord rec = synth.source(c).next();
                 auto ci = static_cast<std::size_t>(c);
                 pending[ci]->instr_total += rec.gap + 1;
                 pending[ci]->records.push_back(rec);
@@ -246,116 +139,6 @@ RecordedTrace::grow(std::size_t idx)
         }
         published.store(pub + 1, std::memory_order_release);
     }
-}
-
-std::uint64_t
-RecordedTrace::recordsPublished(int core) const
-{
-    std::size_t pub = published.load(std::memory_order_acquire);
-    std::uint64_t n = 0;
-    const auto &core_slots = slots[static_cast<std::size_t>(core)];
-    for (std::size_t i = 0; i < pub; ++i)
-        n += core_slots[i]->nRecords();
-    return n;
-}
-
-std::uint64_t
-RecordedTrace::bytesPublished() const
-{
-    std::size_t pub = published.load(std::memory_order_acquire);
-    std::uint64_t n = 0;
-    for (const auto &core_slots : slots)
-        for (std::size_t i = 0; i < pub; ++i)
-            n += core_slots[i]->records.size() * sizeof(TraceRecord);
-    return n;
-}
-
-void
-RecordedTrace::saveTrf(const std::string &path) const
-{
-    // Published chunks are immutable, so an acquire snapshot of the
-    // count is all the synchronization a consistent save needs.
-    std::size_t pub = published.load(std::memory_order_acquire);
-    cnsim_assert(pub > 0 || frozen(), "saving an empty trace");
-    PackedTrace t;
-    t.params_hash = params_hash;
-    t.seed = trace_seed;
-    t.cores.resize(static_cast<std::size_t>(num_cores));
-    for (int c = 0; c < num_cores; ++c) {
-        const auto &core_slots = slots[static_cast<std::size_t>(c)];
-        PackedCoreTrace &out = t.cores[static_cast<std::size_t>(c)];
-        // Pack on the way out: files keep the delta-varint codec (this
-        // is the only encode the flat in-memory chunks ever pay).
-        Addr prev_iaddr = 0, prev_addr = 0;
-        for (std::size_t i = 0; i < pub; ++i) {
-            const Chunk &ch = *core_slots[i];
-            out.n_records += ch.nRecords();
-            for (const TraceRecord &rec : ch.records)
-                encodeRecord(out.bytes, prev_iaddr, prev_addr, rec);
-        }
-    }
-    writeTrf(path, t);
-}
-
-std::shared_ptr<RecordedTrace>
-RecordedTrace::fromFile(const std::string &path)
-{
-    PackedTrace t = readTrf(path);
-    std::shared_ptr<RecordedTrace> trace(new RecordedTrace());
-    trace->num_cores = static_cast<int>(t.cores.size());
-    trace->trace_seed = t.seed;
-    trace->params_hash = t.params_hash;
-    trace->slots.resize(t.cores.size());
-    trace->published.store(1, std::memory_order_relaxed);
-    for (std::size_t c = 0; c < t.cores.size(); ++c) {
-        PackedCoreTrace &core = t.cores[c];
-        if (core.n_records == 0)
-            fatal("trace '%s' has no records for core %zu",
-                  path.c_str(), c);
-        // Decode the whole payload up front (validating: nothing
-        // malformed may pass) straight into the flat chunk the hot
-        // replay path reads.
-        PackedStreamReader reader(core.bytes.data(), core.bytes.size());
-        TraceRecord rec;
-        auto chunk = std::make_unique<Chunk>();
-        chunk->records.reserve(core.n_records);
-        while (reader.next(rec)) {
-            chunk->instr_total += rec.gap + 1;
-            chunk->records.push_back(rec);
-        }
-        if (reader.error() || reader.decoded() != core.n_records) {
-            fatal("corrupt packed stream for core %zu in '%s': "
-                  "%llu of %llu records decode",
-                  c, path.c_str(),
-                  static_cast<unsigned long long>(reader.decoded()),
-                  static_cast<unsigned long long>(core.n_records));
-        }
-        trace->slots[c].resize(1);
-        trace->slots[c][0] = std::move(chunk);
-    }
-    return trace;
-}
-
-std::shared_ptr<RecordedTrace>
-RecordedTrace::fromRecords(
-    const std::vector<std::vector<TraceRecord>> &records)
-{
-    cnsim_assert(!records.empty(), "trace needs at least one core");
-    std::shared_ptr<RecordedTrace> trace(new RecordedTrace());
-    trace->num_cores = static_cast<int>(records.size());
-    trace->slots.resize(records.size());
-    trace->published.store(1, std::memory_order_relaxed);
-    for (std::size_t c = 0; c < records.size(); ++c) {
-        cnsim_assert(!records[c].empty(),
-                     "core %zu has an empty record stream", c);
-        auto chunk = std::make_unique<Chunk>();
-        chunk->records = records[c];
-        for (const TraceRecord &rec : records[c])
-            chunk->instr_total += rec.gap + 1;
-        trace->slots[c].resize(1);
-        trace->slots[c][0] = std::move(chunk);
-    }
-    return trace;
 }
 
 ReplaySource::ReplaySource(RecordedTrace &trace, int core)
@@ -370,20 +153,8 @@ ReplaySource::ReplaySource(RecordedTrace &trace, int core)
 void
 ReplaySource::advanceTo(std::size_t idx)
 {
-    const RecordedTrace::Chunk *c = trace.chunk(core, idx);
-    if (!c) {
-        // Frozen trace ran dry: wrap to the top (sources never run
-        // dry by contract).
-        if (n_wraps++ == 0)
-            warnOnce(strfmt("replay-wrap-core-%d", core),
-                     "trace replay wrapped on core %d; consider a "
-                     "longer capture",
-                     core);
-        idx = 0;
-        c = trace.chunk(core, 0);
-    }
     chunk_idx = idx;
-    cur = c;
+    cur = trace.chunk(core, idx);
     off = 0;
 }
 
@@ -475,7 +246,7 @@ TraceCache::liveEntries()
 }
 
 // ---------------------------------------------------------------------
-// CanonicalWorkload: the canonical stream without the codec.
+// CanonicalWorkload: the canonical stream without materialization.
 // ---------------------------------------------------------------------
 
 /**

@@ -1,6 +1,6 @@
 /**
  * @file
- * Zero-copy trace capture and replay.
+ * Canonical reference streams: materialized once, or regenerated inline.
  *
  * A paper figure is a grid of L2 organizations all driven by the same
  * synthetic reference stream, yet historically every grid cell re-ran
@@ -13,16 +13,12 @@
  * and every organization is, by construction, measured against the
  * bit-identical reference stream.
  *
- * In-memory chunks are deliberately *not* varint-packed: profiling the
- * packed read path (bench/perf_gate's sweep scenario) measured the
- * per-record varint decode costing as much as generation itself
- * (~25 ns each on the baseline host), which capped a replay-backed
- * sweep at parity with regenerating the stream per cell. A flat
- * TraceRecord array trades ~3x the trace memory (24 B/record vs ~8 B
- * packed, a few MB for the paper budgets) for a decode-free hot path
- * that the hardware prefetcher streams. The varint codec below
- * survives only at the file boundary: CNTRF001 payloads are packed on
- * save and decoded (with validation) once on load.
+ * Chunks are deliberately flat TraceRecord arrays, not a packed
+ * encoding: a varint-packed layout measured its per-record decode
+ * costing as much as generation itself (~25 ns each), which capped a
+ * replay-backed sweep at parity with regenerating the stream per cell.
+ * 24 B/record (a few MB for the paper budgets) buys a decode-free hot
+ * path that the hardware prefetcher streams.
  *
  * Canonical generation order. The synthetic model keeps cross-thread
  * state (the ROS/RWS recently-used registries), so per-core streams
@@ -33,21 +29,13 @@
  * 0..N-1, repeat), a fixed interleaving independent of any simulator
  * timing: one stream, identical for every organization, every grid,
  * every --jobs value, and every host. A RecordedTrace materializes
- * that stream; a CanonicalWorkload regenerates it inline.
- *
- * Record encoding (the payload CNTRF001 files transport, ~8 B/record
- * for the paper workloads vs 21 B flat):
- *   varint(gap * 4 + op)                  op: 0 load, 1 store, 2 ifetch
- *   varint(zigzag(iaddr - prev_iaddr))
- *   varint(zigzag(addr - prev_addr))
- * where varint is the usual 7-bits-per-byte little-endian continuation
- * code and prev_* start at 0 per core stream. Decoding is strictly
- * sequential, which is exactly how cores consume traces.
+ * that stream; a CanonicalWorkload regenerates it inline. The stream
+ * is a pure function of the workload parameters and seed, so nothing
+ * about it is ever stored: a run that needs it again regenerates it.
  *
  * Thread-safety: a RecordedTrace generates lazily in fixed-size chunks
  * under a mutex, publishing each completed chunk with a release store;
- * ReplaySources on any thread read published chunks lock-free. Frozen
- * traces (loaded from file) are immutable.
+ * ReplaySources on any thread read published chunks lock-free.
  */
 
 #ifndef CNSIM_TRACE_REPLAY_HH
@@ -69,49 +57,11 @@ namespace cnsim
 {
 
 /**
- * Bounds-checked sequential decoder over one packed core stream; the
- * validating counterpart of ReplaySource's trusting hot-path decoder.
- * Used when ingesting untrusted CNTRF001 payloads and by cntrace.
- */
-class PackedStreamReader
-{
-  public:
-    PackedStreamReader(const std::uint8_t *data, std::size_t size)
-        : cur(data), end(data + size)
-    {
-    }
-
-    /**
-     * Decode one record. @return false at the end of the buffer or on
-     * a malformed record (check error() to distinguish).
-     */
-    bool next(TraceRecord &out);
-
-    /** True when decoding stopped on malformed bytes, not clean EOF. */
-    bool error() const { return bad; }
-
-    /** Records decoded so far. */
-    std::uint64_t decoded() const { return n_decoded; }
-
-  private:
-    const std::uint8_t *cur;
-    const std::uint8_t *end;
-    Addr prev_iaddr = 0;
-    Addr prev_addr = 0;
-    std::uint64_t n_decoded = 0;
-    bool bad = false;
-};
-
-/**
  * One (workload, seed) reference stream, materialized once for all
- * cores into packed per-core chunk lists.
- *
- * Two modes:
- *  - generating: owns a SynthWorkload and extends every core's stream
- *    on demand (canonical round-robin order), so consumers never run
- *    dry and a cold cache costs exactly one generation pass;
- *  - frozen: loaded from a CNTRF001 file (or fixed record vectors);
- *    consumers wrap to the start when they exhaust it.
+ * cores into flat per-core chunk lists. It owns a SynthWorkload and
+ * extends every core's stream on demand (canonical round-robin
+ * order), so consumers never run dry and a cold cache costs exactly
+ * one generation pass.
  */
 class RecordedTrace
 {
@@ -120,7 +70,7 @@ class RecordedTrace
     static constexpr std::uint32_t chunk_records = 4096;
 
     /** One flat segment of a core's stream (see the file comment for
-     *  why in-memory chunks are not varint-packed). The instruction
+     *  why chunks are not packed). The instruction
      *  total lets ReplaySource fast-forward over a whole chunk in
      *  O(1): it decides whether a scan-and-count loop would stop
      *  inside it. */
@@ -136,20 +86,8 @@ class RecordedTrace
         }
     };
 
-    /** Generating mode over a fresh SynthWorkload for @p params. */
+    /** The stream of a fresh SynthWorkload for @p params. */
     explicit RecordedTrace(const SynthWorkloadParams &params);
-
-    /**
-     * Frozen mode from a CNTRF001 file. Every core's payload is
-     * decode-validated against its header record count; fatal on
-     * malformed or empty streams.
-     */
-    static std::shared_ptr<RecordedTrace>
-    fromFile(const std::string &path);
-
-    /** Frozen mode from explicit per-core records (tests, adapters). */
-    static std::shared_ptr<RecordedTrace>
-    fromRecords(const std::vector<std::vector<TraceRecord>> &records);
 
     ~RecordedTrace();
 
@@ -158,62 +96,37 @@ class RecordedTrace
 
     int cores() const { return num_cores; }
 
-    /** True for file/record-backed traces that can run dry (and wrap). */
-    bool frozen() const { return !synth; }
-
-    /** Records currently published for @p core (grows in generating
-     *  mode as consumers pull). */
-    std::uint64_t recordsPublished(int core) const;
-
-    /** Flat in-memory record bytes currently published, across all
-     *  cores (sizeof(TraceRecord) per record; the varint-packed size
-     *  exists only in CNTRF001 files). */
-    std::uint64_t bytesPublished() const;
-
-    /** Effective workload seed (provenance; 0 for fromRecords). */
+    /** Effective workload seed (checkpoint provenance). */
     std::uint64_t seed() const { return trace_seed; }
 
-    /** FNV-1a hash of the generating params (0 for fromRecords). */
+    /** FNV-1a hash of the generating params (checkpoint provenance). */
     std::uint64_t paramsHash() const { return params_hash; }
 
-    /** Snapshot the published stream prefix as a CNTRF001 file. */
-    void saveTrf(const std::string &path) const;
-
     /**
-     * Chunk @p idx of @p core's stream: generates (and publishes) it
-     * first if needed in generating mode; nullptr past the end of a
-     * frozen trace. Lock-free for already-published chunks.
+     * Chunk @p idx of @p core's stream, generated (and published)
+     * first if needed. Lock-free for already-published chunks.
      */
     const Chunk *
     chunk(int core, std::size_t idx)
     {
-        if (idx >= published.load(std::memory_order_acquire)) {
-            if (frozen())
-                return nullptr;
+        if (idx >= published.load(std::memory_order_acquire))
             grow(idx);
-        }
         return slots[static_cast<std::size_t>(core)][idx].get();
     }
 
-    /** FNV-1a hash of a params structure (file provenance field). */
+    /** FNV-1a hash of a params structure (checkpoint provenance). */
     static std::uint64_t hashParams(const SynthWorkloadParams &params);
 
   private:
-    RecordedTrace();  // frozen-mode shell, filled by the factories
-
     /** Generate and publish chunks until @p idx is available. */
     void grow(std::size_t idx);
 
-    int num_cores CNSIM_SYNC_NOTE("immutable after the factory") = 0;
-    std::uint64_t trace_seed
-        CNSIM_SYNC_NOTE("immutable after the factory") = 0;
-    std::uint64_t params_hash
-        CNSIM_SYNC_NOTE("immutable after the factory") = 0;
+    const int num_cores;
+    const std::uint64_t trace_seed;
+    const std::uint64_t params_hash;
 
-    /** Generating mode only; null when frozen. The pointer itself is
-     *  set once at construction (frozen() null-checks it lock-free);
-     *  the workload it points to advances only under grow_mutex. */
-    std::unique_ptr<SynthWorkload> synth CNSIM_PT_GUARDED_BY(grow_mutex);
+    /** Advances only under grow_mutex. */
+    SynthWorkload synth CNSIM_GUARDED_BY(grow_mutex);
 
     /**
      * slots[core][chunk] -> published chunks. Pre-sized so readers can
@@ -252,16 +165,13 @@ class ReplaySource final : public TraceSource
      *  the stopping record lands in. */
     SkipResult skipInstructions(std::uint64_t min_instrs) override;
 
-    /** Times a frozen trace ran dry and restarted from the top. */
-    std::uint64_t wraps() const { return n_wraps; }
-
     /** Records consumed so far -- the stream cursor a checkpoint
      *  persists. Purely positional: record N of any stream generated
      *  from the same workload family is the N-th canonical draw. */
     std::uint64_t consumed() const { return n_consumed; }
 
   private:
-    /** Step to chunk @p idx; wraps frozen traces at the end. */
+    /** Step to chunk @p idx. */
     void advanceTo(std::size_t idx);
 
     RecordedTrace &trace;
@@ -269,7 +179,6 @@ class ReplaySource final : public TraceSource
     const RecordedTrace::Chunk *cur = nullptr;
     std::size_t chunk_idx = 0;
     std::uint32_t off = 0;
-    std::uint64_t n_wraps = 0;
     std::uint64_t n_consumed = 0;
 };
 

@@ -1,15 +1,16 @@
-# Differential capture/replay check, run as a ctest via `cmake -P`.
+# Differential output check, run as a ctest via `cmake -P`.
 #
 #   cmake -DCMD1=<exe + args> -DCMD2=<exe + args>
 #         [-DENVVARS=<K=V;K=V;...>] [-DFRESH=<dir>] [-DERR2=<regex>]
 #         -DOUT1=<file> -DOUT2=<file> -P replay_equal.cmake
 #
 # Runs CMD1 then CMD2 with the given environment and fails unless
-# their stdout is byte-identical. This pins the replay contract: a
-# sweep replaying a captured CNTRF001 stream (or the shared in-memory
-# trace cache, at any --jobs level) must reproduce the capture run's
-# results exactly. FRESH names a directory (a result cache) removed
-# before CMD1 runs; ERR2 is a regex CMD2's whole stderr must match.
+# their stdout is byte-identical. This pins the determinism contract:
+# a sweep replaying the shared in-memory trace at any --jobs level,
+# resuming from checkpoints, sampling or reading the result cache must
+# reproduce the reference run's results exactly. FRESH names a
+# directory (a result cache) removed before CMD1 runs; ERR2 is a regex
+# CMD2's whole stderr must match.
 
 if(NOT DEFINED CMD1 OR NOT DEFINED CMD2 OR NOT DEFINED OUT1
    OR NOT DEFINED OUT2)
@@ -55,5 +56,5 @@ if(NOT got1 STREQUAL got2)
     message(FATAL_ERROR
         "replay_equal: outputs differ\n"
         "  ${OUT1}\n  ${OUT2}\n"
-        "Replayed streams must reproduce the capture run exactly.")
+        "The second run must reproduce the first exactly.")
 endif()

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.hh"
 #include "farm/cache.hh"
 #include "farm/cell.hh"
 #include "farm/sweep.hh"
@@ -306,6 +307,37 @@ TEST(FarmCache, ResultRoundTripMissAndCorruptionRejection)
     EXPECT_FALSE(off.enabled());
     EXPECT_FALSE(off.loadResult(key, out));
     off.storeResult(key, r);
+}
+
+TEST(FarmCache, StoredEntryMatchesTheDocumentedLayoutByteForByte)
+{
+    // cache.hh's layout: magic, u32 payload length, kind byte, payload,
+    // u64 FNV-1a over kind + payload, all little-endian.
+    std::string dir = uniqueDir("farm_layout");
+    farm::Cache cache(dir);
+    cache.storeCkpt(0x42, "abc");
+    const std::string want("CNFARM01"
+                           "\x03\x00\x00\x00"
+                           "c"
+                           "abc"
+                           "\x36\xe7\x4d\xe8\x90\x6b\x2b\xb5",
+                           24);
+    EXPECT_EQ(readBytes(cache.entryPath('c', 0x42)), want);
+
+    // A result entry is the same frame around serializeResult().
+    const RunResult r = sampleResult();
+    const std::string payload = farm::serializeResult(r);
+    cache.storeResult(0x42, r);
+    std::string frame("CNFARM01", 8);
+    for (int i = 0; i < 4; ++i)
+        frame.push_back(static_cast<char>(payload.size() >> (8 * i)));
+    frame += 'r';
+    frame += payload;
+    const std::uint64_t sum =
+        fnv1a(payload.data(), payload.size(), fnv1a("r", 1));
+    for (int i = 0; i < 8; ++i)
+        frame.push_back(static_cast<char>(sum >> (8 * i)));
+    EXPECT_EQ(readBytes(cache.entryPath('r', 0x42)), frame);
 }
 
 TEST(FarmCache, CheckpointBlobsShareWarmedStateAcrossRuns)

@@ -28,8 +28,12 @@ namespace
 std::string
 csvOf(obs::MetricsRegistry &reg, const std::function<void()> &drive)
 {
+    // One file per test: ctest runs each test as its own process, in
+    // parallel with the others.
     const std::string path =
-        std::string(::testing::TempDir()) + "cnsim_metrics.blg";
+        std::string(::testing::TempDir()) + "cnsim_metrics_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".blg";
     {
         obs::BinlogWriter w(path);
         w.begin({}, reg.metricPaths());

@@ -1,27 +1,19 @@
 /**
  * @file
- * Tests for the packed trace capture/replay subsystem: encode/decode
- * round-trip fuzzing, CNTRF001 file validation (corrupt, truncated and
- * missing inputs must be rejected loudly), wrap semantics, capture
- * fidelity against fresh generation, cycle-for-cycle replay of a
- * captured run, canonical-order determinism including concurrent chunk
- * growth, the process-wide TraceCache, and end-to-end replay equality
- * across worker counts.
+ * Tests for materialized stream replay: canonical-order determinism
+ * including concurrent chunk growth, the process-wide TraceCache, and
+ * end-to-end replay equality across worker counts and trace instances.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "common/rng.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/runner.hh"
 #include "trace/replay.hh"
-#include "trace/trace_file.hh"
 #include "trace/workloads.hh"
 
 namespace cnsim
@@ -29,38 +21,11 @@ namespace cnsim
 namespace
 {
 
-std::string
-tempPath(const char *tag)
-{
-    return std::string(::testing::TempDir()) + "cnsim_replay_" + tag +
-           ".trf";
-}
-
 bool
 sameRecord(const TraceRecord &a, const TraceRecord &b)
 {
     return a.gap == b.gap && a.iaddr == b.iaddr && a.addr == b.addr &&
            a.op == b.op;
-}
-
-/** Random record with adversarial deltas (both signs, full range). */
-TraceRecord
-fuzzRecord(Rng &rng)
-{
-    TraceRecord r;
-    // Mix small gaps (the common case) with full-range u32 gaps.
-    r.gap = rng.chance(0.9) ? rng.below(200)
-                            : rng.below(0xffffffffu);
-    auto addr64 = [&rng]() {
-        return (static_cast<Addr>(rng.below(0xffffffffu)) << 32) ^
-               rng.below(0xffffffffu);
-    };
-    r.iaddr = addr64();
-    r.addr = addr64();
-    std::uint32_t op = rng.below(3);
-    r.op = op == 0 ? MemOp::Load : op == 1 ? MemOp::Store
-                                           : MemOp::Ifetch;
-    return r;
 }
 
 /** Drain @p n records from a ReplaySource. */
@@ -72,232 +37,6 @@ drain(ReplaySource &src, std::size_t n)
     for (std::size_t i = 0; i < n; ++i)
         out.push_back(src.next());
     return out;
-}
-
-TEST(Replay, RoundTripFuzz)
-{
-    Rng rng(2026);
-    for (int trial = 0; trial < 8; ++trial) {
-        int cores = 1 + static_cast<int>(rng.below(4));
-        std::vector<std::vector<TraceRecord>> records(cores);
-        for (auto &stream : records) {
-            std::size_t n = 1 + rng.below(700);
-            for (std::size_t i = 0; i < n; ++i)
-                stream.push_back(fuzzRecord(rng));
-        }
-
-        // In-memory: RecordedTrace must echo the records verbatim.
-        auto trace = RecordedTrace::fromRecords(records);
-        ASSERT_EQ(trace->cores(), cores);
-        for (int c = 0; c < cores; ++c) {
-            EXPECT_EQ(trace->recordsPublished(c), records[c].size());
-            ReplaySource src(*trace, c);
-            auto got = drain(src, records[c].size());
-            for (std::size_t i = 0; i < records[c].size(); ++i)
-                EXPECT_TRUE(sameRecord(got[i], records[c][i]))
-                    << "trial " << trial << " core " << c << " #" << i;
-            EXPECT_EQ(src.wraps(), 0u);
-        }
-
-        // Through the file format: save, reload, replay again.
-        std::string path = tempPath("fuzz");
-        trace->saveTrf(path);
-        auto loaded = RecordedTrace::fromFile(path);
-        ASSERT_EQ(loaded->cores(), cores);
-        EXPECT_TRUE(loaded->frozen());
-        EXPECT_EQ(loaded->paramsHash(), trace->paramsHash());
-        EXPECT_EQ(loaded->seed(), trace->seed());
-        for (int c = 0; c < cores; ++c) {
-            ReplaySource src(*loaded, c);
-            auto got = drain(src, records[c].size());
-            for (std::size_t i = 0; i < records[c].size(); ++i)
-                EXPECT_TRUE(sameRecord(got[i], records[c][i]))
-                    << "trial " << trial << " core " << c << " #" << i;
-        }
-        std::remove(path.c_str());
-    }
-}
-
-TEST(Replay, PackedStreamReaderRejectsGarbage)
-{
-    // A stream of 0xff varint continuation bytes never terminates a
-    // field within the length bound: the reader must flag an error,
-    // not read past the buffer or loop forever.
-    std::vector<std::uint8_t> junk(64, 0xff);
-    PackedStreamReader reader(junk.data(), junk.size());
-    TraceRecord rec;
-    while (reader.next(rec)) {
-    }
-    EXPECT_TRUE(reader.error());
-}
-
-TEST(ReplayDeath, CorruptMagicRejected)
-{
-    std::string path = tempPath("badmagic");
-    std::FILE *fp = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(fp, nullptr);
-    std::fputs("NOTATRACEFILE___", fp);
-    std::fclose(fp);
-    EXPECT_DEATH(readTrf(path), "not a CNTRF001");
-    std::remove(path.c_str());
-}
-
-TEST(ReplayDeath, TruncatedHeaderRejected)
-{
-    std::string path = tempPath("shorthdr");
-    std::FILE *fp = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(fp, nullptr);
-    std::fwrite("CNTRF001\x02\x00", 1, 10, fp);
-    std::fclose(fp);
-    EXPECT_DEATH(readTrf(path), "truncated CNTRF001 header");
-    std::remove(path.c_str());
-}
-
-TEST(ReplayDeath, TruncatedPayloadRejected)
-{
-    std::string path = tempPath("shortpay");
-    Rng rng(5);
-    std::vector<std::vector<TraceRecord>> records(2);
-    for (auto &s : records)
-        for (int i = 0; i < 50; ++i)
-            s.push_back(fuzzRecord(rng));
-    RecordedTrace::fromRecords(records)->saveTrf(path);
-
-    // Chop the last few payload bytes off.
-    std::FILE *fp = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(fp, nullptr);
-    std::fseek(fp, 0, SEEK_END);
-    long size = std::ftell(fp);
-    std::fseek(fp, 0, SEEK_SET);
-    std::vector<unsigned char> bytes(static_cast<std::size_t>(size));
-    ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), fp),
-              bytes.size());
-    std::fclose(fp);
-    fp = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(fp, nullptr);
-    std::fwrite(bytes.data(), 1, bytes.size() - 5, fp);
-    std::fclose(fp);
-
-    EXPECT_DEATH(readTrf(path), "truncated CNTRF001 payload");
-    std::remove(path.c_str());
-}
-
-TEST(ReplayDeath, TrailingGarbageRejected)
-{
-    std::string path = tempPath("trailing");
-    Rng rng(6);
-    std::vector<std::vector<TraceRecord>> records(1);
-    for (int i = 0; i < 20; ++i)
-        records[0].push_back(fuzzRecord(rng));
-    RecordedTrace::fromRecords(records)->saveTrf(path);
-    std::FILE *fp = std::fopen(path.c_str(), "ab");
-    ASSERT_NE(fp, nullptr);
-    std::fputs("extra", fp);
-    std::fclose(fp);
-    EXPECT_DEATH(readTrf(path), "trailing garbage");
-    std::remove(path.c_str());
-}
-
-TEST(ReplayDeath, ZeroCoreHeaderRejected)
-{
-    std::string path = tempPath("zerocores");
-    std::FILE *fp = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(fp, nullptr);
-    std::fputs("CNTRF001", fp);
-    // num_cores = 0, then enough zero bytes to pass the header read.
-    std::vector<unsigned char> zeros(40, 0);
-    std::fwrite(zeros.data(), 1, zeros.size(), fp);
-    std::fclose(fp);
-    EXPECT_DEATH(readTrf(path), "corrupt CNTRF001 header");
-    std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------
-// CNTRF001 files: the one trace file format
-// ---------------------------------------------------------------------
-
-TEST(ReplayFile, CaptureMatchesFreshGeneration)
-{
-    // Consume part of a generating trace, save what was published, and
-    // compare against a fresh generator drawn in the canonical
-    // round-robin order: the capture holds exactly that stream.
-    std::string path = tempPath("capture");
-    SynthWorkloadParams params = Runner::effectiveSynthParams(
-        workloads::byName("barnes"), RunConfig{});
-    RecordedTrace trace(params);
-    for (int c = 0; c < trace.cores(); ++c) {
-        ReplaySource src(trace, c);
-        for (int i = 0; i < 100; ++i)
-            src.next();
-    }
-    trace.saveTrf(path);
-    auto loaded = RecordedTrace::fromFile(path);
-    ASSERT_EQ(loaded->cores(), trace.cores());
-    EXPECT_EQ(loaded->paramsHash(), RecordedTrace::hashParams(params));
-    EXPECT_EQ(loaded->seed(), params.seed);
-
-    SynthWorkload fresh(params);
-    std::vector<std::unique_ptr<ReplaySource>> replays;
-    for (int c = 0; c < loaded->cores(); ++c) {
-        EXPECT_GE(loaded->recordsPublished(c), 100u);
-        replays.push_back(std::make_unique<ReplaySource>(*loaded, c));
-    }
-    for (int i = 0; i < 100; ++i)
-        for (int c = 0; c < loaded->cores(); ++c)
-            EXPECT_TRUE(sameRecord(replays[c]->next(),
-                                   fresh.source(c).next()))
-                << "core " << c << " #" << i;
-    std::remove(path.c_str());
-}
-
-TEST(ReplayFile, ReplayReproducesRunCycleForCycle)
-{
-    // Run on a materialized stream, capture it, then drive an identical
-    // system from the captured file: timing, IPC and every statistic
-    // must match exactly.
-    std::string path = tempPath("cycle");
-    WorkloadSpec wl = workloads::byName("specjbb");
-    RunConfig rc;
-    rc.warmup_instructions = 20'000;
-    rc.measure_instructions = 40'000;
-    rc.collect_stats_dump = true;
-    SystemConfig cfg = Runner::paperConfig(L2Kind::Nurapid);
-
-    RunConfig live = rc;
-    auto trace = std::make_shared<RecordedTrace>(
-        Runner::effectiveSynthParams(wl, rc));
-    live.replay = trace;
-    RunResult recorded = Runner::run(cfg, wl, live);
-    trace->saveTrf(path);
-
-    RunConfig from_file = rc;
-    from_file.replay = RecordedTrace::fromFile(path);
-    RunResult replayed = Runner::run(cfg, wl, from_file);
-    EXPECT_EQ(recorded.cycles, replayed.cycles);
-    EXPECT_EQ(recorded.instructions, replayed.instructions);
-    EXPECT_DOUBLE_EQ(recorded.ipc, replayed.ipc);
-    EXPECT_EQ(recorded.stats_dump, replayed.stats_dump);
-    std::remove(path.c_str());
-}
-
-TEST(ReplayFileDeathTest, MissingFileIsFatal)
-{
-    EXPECT_DEATH(RecordedTrace::fromFile("/nonexistent/nope.trf"),
-                 "cannot open");
-}
-
-TEST(Replay, FrozenTraceWrapsAndRepeats)
-{
-    Rng rng(11);
-    std::vector<std::vector<TraceRecord>> records(1);
-    for (int i = 0; i < 5; ++i)
-        records[0].push_back(fuzzRecord(rng));
-    auto trace = RecordedTrace::fromRecords(records);
-    ReplaySource src(*trace, 0);
-    auto got = drain(src, 13);
-    for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_TRUE(sameRecord(got[i], records[0][i % 5])) << "#" << i;
-    EXPECT_EQ(src.wraps(), 2u);
 }
 
 TEST(Replay, CanonicalGenerationIsDeterministic)
@@ -312,6 +51,28 @@ TEST(Replay, CanonicalGenerationIsDeterministic)
             EXPECT_TRUE(sameRecord(sa.next(), sb.next()))
                 << "core " << c << " #" << i;
     }
+}
+
+TEST(Replay, MaterializedStreamIsRoundRobinGeneration)
+{
+    // The materialized stream is the generator drawn core 0..N-1,
+    // repeat -- across a chunk boundary -- whatever order the consumers
+    // read it in.
+    SynthWorkloadParams params = Runner::effectiveSynthParams(
+        workloads::byName("barnes"), RunConfig{});
+    RecordedTrace trace(params);
+    std::vector<std::vector<TraceRecord>> got;
+    for (int c = trace.cores() - 1; c >= 0; --c) {
+        ReplaySource src(trace, c);
+        got.insert(got.begin(),
+                   drain(src, RecordedTrace::chunk_records + 100));
+    }
+    SynthWorkload fresh(params);
+    for (std::size_t i = 0; i < got[0].size(); ++i)
+        for (int c = 0; c < trace.cores(); ++c)
+            ASSERT_TRUE(sameRecord(got[static_cast<std::size_t>(c)][i],
+                                   fresh.source(c).next()))
+                << "core " << c << " #" << i;
 }
 
 TEST(Replay, ConcurrentReadersMatchSerialBaseline)

@@ -33,7 +33,6 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,7 +41,6 @@
 #include "farm/sweep.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/runner.hh"
-#include "trace/replay.hh"
 
 using namespace cnsim;
 
@@ -126,15 +124,6 @@ usage(const char *argv0)
         "                     warm-up included, into the binlog (needs "
         "--binlog-out)\n"
         "  --audit            run the online coherence-protocol auditor\n"
-        "  --trace-capture <file>  save the canonical stream(s) as "
-        "CNTRF001 (grids\n"
-        "                     with several workloads insert the "
-        "workload name\n"
-        "                     before the extension)\n"
-        "  --trace-replay <file>   drive every cell from a captured "
-        "CNTRF001 trace\n"
-        "                     (single workload name for labeling only)"
-        "\n"
         "  --list             list workloads and organizations\n",
         argv0);
 }
@@ -227,8 +216,6 @@ main(int argc, char **argv)
     std::string promotion = "fastest";
     std::string ckpt_save_path;
     std::string ckpt_load_path;
-    std::string trace_capture_path;
-    std::string trace_replay_path;
     std::string stats_csv_path;
     std::string binlog_out;
 
@@ -294,10 +281,6 @@ main(int argc, char **argv)
             ckpt_save_path = next();
         } else if (a == "--ckpt-load") {
             ckpt_load_path = next();
-        } else if (a == "--trace-capture") {
-            trace_capture_path = next();
-        } else if (a == "--trace-replay") {
-            trace_replay_path = next();
         } else if (a == "--list") {
             std::printf("workloads (Table 3): ");
             for (const auto &w : workloads::multithreadedNames())
@@ -335,61 +318,17 @@ main(int argc, char **argv)
 
     if (!ckpt_save_path.empty() && !ckpt_load_path.empty())
         fatal("--ckpt-save and --ckpt-load are mutually exclusive");
-    if (!trace_capture_path.empty() && !trace_replay_path.empty())
-        fatal("--trace-capture and --trace-replay are mutually "
-              "exclusive");
-    // A cell's cache key covers its spec, not a user-supplied stream
-    // or checkpoint file.
-    if (!cache_dir.empty()) {
-        if (!trace_capture_path.empty() || !trace_replay_path.empty())
-            fatal("--cache-dir cannot capture or replay CNTRF001 "
-                  "traces; cells rebuild their canonical streams from "
-                  "parameters");
-        if (!ckpt_save_path.empty() || !ckpt_load_path.empty())
-            fatal("--cache-dir manages warmed state through its "
-                  "checkpoint cache; drop --ckpt-save/--ckpt-load");
-    }
+    // A cell's cache key covers its spec, not a user-supplied
+    // checkpoint file.
+    if (!cache_dir.empty() &&
+        (!ckpt_save_path.empty() || !ckpt_load_path.empty()))
+        fatal("--cache-dir manages warmed state through its checkpoint "
+              "cache; drop --ckpt-save/--ckpt-load");
 
     // Build the (L2 kind x workload) grid in print order.
     const std::vector<L2Kind> kind_list = parseKinds(l2_arg);
     const std::vector<std::string> wl_list = parseWorkloads(wl_arg);
     const bool multi = kind_list.size() * wl_list.size() > 1;
-
-    // A captured trace replays one workload's stream; a grid over
-    // several workloads has no single stream to replay.
-    if (!trace_replay_path.empty() && wl_list.size() > 1)
-        fatal("--trace-replay drives a single workload (got %zu)",
-              wl_list.size());
-
-    // Stream delivery is planned per batch by the ParallelRunner
-    // (planStreams) -- except here, where the stream is user input:
-    // --trace-replay drives every cell from the captured file, and
-    // --trace-capture attaches each workload's shared materialized
-    // stream so it can be saved afterwards.
-    std::shared_ptr<RecordedTrace> frozen;
-    if (!trace_replay_path.empty()) {
-        frozen = RecordedTrace::fromFile(trace_replay_path);
-        inform("replaying '%s': %d cores, %llu records/core published",
-               trace_replay_path.c_str(), frozen->cores(),
-               static_cast<unsigned long long>(
-                   frozen->recordsPublished(0)));
-    }
-    std::vector<std::pair<std::string, std::shared_ptr<RecordedTrace>>>
-        captured;
-    auto trace_for = [&](const ParallelJob &job)
-        -> std::shared_ptr<RecordedTrace> {
-        if (frozen)
-            return frozen;
-        if (trace_capture_path.empty())
-            return nullptr;
-        for (const auto &ct : captured)
-            if (ct.first == job.workload.name)
-                return ct.second;
-        captured.emplace_back(
-            job.workload.name,
-            Runner::acquireSharedTrace(job.workload, job.run_cfg));
-        return captured.back().second;
-    };
 
     std::vector<farm::CellSpec> cells;
     std::vector<ParallelJob> batch;
@@ -405,12 +344,6 @@ main(int argc, char **argv)
             spec.workload = w;
             spec.binlog_out = per_cell(binlog_out);
             ParallelJob job = farm::buildJob(spec);
-            job.run_cfg.replay = trace_for(job);
-            if (job.run_cfg.replay &&
-                job.run_cfg.replay->cores() != job.sys_cfg.num_cores)
-                fatal("trace '%s' has %d cores but the system has %d",
-                      trace_replay_path.c_str(),
-                      job.run_cfg.replay->cores(), job.sys_cfg.num_cores);
             // Checkpoints are config-strict, so grid sweeps keep one
             // file per cell.
             job.run_cfg.ckpt_save = per_cell(ckpt_save_path);
@@ -465,23 +398,6 @@ main(int argc, char **argv)
             }
         }
         writeTextFile(stats_csv_path, csv);
-    }
-    if (!trace_capture_path.empty()) {
-        // Save exactly what the grid consumed: the published prefix of
-        // each workload's canonical stream.
-        for (const auto &ct : captured) {
-            std::string path = wl_list.size() > 1
-                                   ? tagPath(trace_capture_path, ct.first)
-                                   : trace_capture_path;
-            ct.second->saveTrf(path);
-            inform("captured %s: %llu records/core, %.1f MB resident "
-                   "(packed on disk by the CNTRF001 codec)",
-                   path.c_str(),
-                   static_cast<unsigned long long>(
-                       ct.second->recordsPublished(0)),
-                   static_cast<double>(ct.second->bytesPublished()) /
-                       (1024.0 * 1024.0));
-        }
     }
     return 0;
 }

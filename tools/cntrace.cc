@@ -16,12 +16,6 @@
  *
  * Dump filters intersect; --component matches any track whose
  * registered path contains the given substring.
- *
- * Packed reference traces (CNTRF001, from `cnsim --trace-capture`)
- * are detected by magic and get their own summary/dump:
- *
- *   cntrace summary oltp.trf
- *   cntrace dump oltp.trf --core 1 --limit 20
  */
 
 #include <cstdio>
@@ -36,8 +30,6 @@
 #include "obs/binlog.hh"
 #include "obs/event.hh"
 #include "obs/trace_sink.hh"
-#include "trace/replay.hh"
-#include "trace/trace_file.hh"
 
 using namespace cnsim;
 
@@ -49,9 +41,7 @@ usage(const char *argv0)
 {
     std::printf(
         "usage: %s <command> <file> [options]\n"
-        "  <file> is a CNBLG01 binlog (cnsim --binlog-out) or a CNTRF001\n"
-        "  packed reference trace (cnsim --trace-capture; summary and "
-        "dump only)\n"
+        "  <file> is a CNBLG01 binlog (cnsim --binlog-out)\n"
         "commands:\n"
         "  summary <run.blg>               per-kind/component/cause "
         "breakdown\n"
@@ -71,95 +61,6 @@ usage(const char *argv0)
         "  --component <s>   track path contains substring s\n"
         "  --limit <N>       stop after N matching events\n",
         argv0);
-}
-
-/** True when @p path starts with the 8-byte @p magic. */
-bool
-hasMagic(const std::string &path, const char *magic)
-{
-    std::FILE *fp = std::fopen(path.c_str(), "rb");
-    if (!fp)
-        return false;
-    char m[8];
-    bool ok = std::fread(m, 1, 8, fp) == 8 &&
-              std::memcmp(m, magic, 8) == 0;
-    std::fclose(fp);
-    return ok;
-}
-
-/** True when @p path starts with the CNTRF001 packed-trace magic. */
-bool
-isPackedTrace(const std::string &path)
-{
-    return hasMagic(path, "CNTRF001");
-}
-
-void
-packedSummary(const std::string &path)
-{
-    PackedTrace t = readTrf(path);
-    std::printf("CNTRF001 packed reference trace: %s\n", path.c_str());
-    std::printf("cores: %zu  params-hash: %016llx  seed: %llu\n",
-                t.cores.size(),
-                static_cast<unsigned long long>(t.params_hash),
-                static_cast<unsigned long long>(t.seed));
-    std::printf("%-5s %12s %12s %9s %10s %8s %8s\n", "core", "records",
-                "bytes", "B/record", "mean gap", "load%", "store%");
-    for (std::size_t c = 0; c < t.cores.size(); ++c) {
-        const PackedCoreTrace &ct = t.cores[c];
-        PackedStreamReader reader(ct.bytes.data(), ct.bytes.size());
-        TraceRecord rec;
-        std::uint64_t loads = 0, stores = 0, gap_sum = 0;
-        while (reader.next(rec)) {
-            gap_sum += rec.gap;
-            if (rec.op == MemOp::Store)
-                ++stores;
-            else
-                ++loads;
-        }
-        if (reader.error() || reader.decoded() != ct.n_records)
-            fatal("corrupt packed stream for core %zu (%llu of %llu "
-                  "records decode)",
-                  c, static_cast<unsigned long long>(reader.decoded()),
-                  static_cast<unsigned long long>(ct.n_records));
-        double n = static_cast<double>(ct.n_records);
-        std::printf("%-5zu %12llu %12zu %9.2f %10.1f %7.1f%% %7.1f%%\n",
-                    c, static_cast<unsigned long long>(ct.n_records),
-                    ct.bytes.size(),
-                    static_cast<double>(ct.bytes.size()) / n,
-                    static_cast<double>(gap_sum) / n, 100.0 * loads / n,
-                    100.0 * stores / n);
-    }
-}
-
-void
-packedDump(const std::string &path, int core, std::uint64_t limit)
-{
-    PackedTrace t = readTrf(path);
-    for (std::size_t c = 0; c < t.cores.size(); ++c) {
-        if (core >= 0 && static_cast<std::size_t>(core) != c)
-            continue;
-        const PackedCoreTrace &ct = t.cores[c];
-        PackedStreamReader reader(ct.bytes.data(), ct.bytes.size());
-        TraceRecord rec;
-        std::uint64_t shown = 0;
-        while (shown < limit && reader.next(rec)) {
-            std::printf("core%zu #%llu gap=%u %s iaddr=0x%llx "
-                        "addr=0x%llx\n",
-                        c,
-                        static_cast<unsigned long long>(reader.decoded() -
-                                                        1),
-                        rec.gap,
-                        rec.op == MemOp::Store   ? "st"
-                        : rec.op == MemOp::Ifetch ? "if"
-                                                  : "ld",
-                        static_cast<unsigned long long>(rec.iaddr),
-                        static_cast<unsigned long long>(rec.addr));
-            ++shown;
-        }
-        if (reader.error())
-            fatal("corrupt packed stream for core %zu", c);
-    }
 }
 
 bool
@@ -194,40 +95,6 @@ main(int argc, char **argv)
     const std::string path = argv[2];
     constexpr std::uint64_t any = std::numeric_limits<std::uint64_t>::max();
     constexpr std::uint64_t max_core = 63;
-
-    if (isPackedTrace(path)) {
-        if (cmd == "summary") {
-            packedSummary(path);
-            return 0;
-        }
-        if (cmd == "dump") {
-            int trf_core = -1;
-            std::uint64_t trf_limit = ~std::uint64_t{0};
-            for (int i = 3; i < argc; ++i) {
-                std::string a = argv[i];
-                auto next = [&]() -> const char * {
-                    if (i + 1 >= argc)
-                        fatal("missing value for %s", a.c_str());
-                    return argv[++i];
-                };
-                if (a == "--core") {
-                    trf_core = static_cast<int>(
-                        parseCount(a, next(), 0, max_core));
-                } else if (a == "--limit") {
-                    trf_limit = parseCount(a, next(), 0, any);
-                } else {
-                    fatal("packed-trace dump supports --core/--limit, "
-                          "not '%s'",
-                          a.c_str());
-                }
-            }
-            packedDump(path, trf_core, trf_limit);
-            return 0;
-        }
-        fatal("command '%s' does not apply to CNTRF001 packed traces "
-              "(use summary or dump)",
-              cmd.c_str());
-    }
 
     obs::BinlogData data;
     std::string error;
