@@ -37,7 +37,7 @@
  *    regenerates the stream inline in every cell
  *    (RunConfig::canonical_live -- generator plus parking FIFO, 7
  *    times), "replay" is what planStreams() selects for 7 sharers
- *    (generate once, materialize as flat in-memory record chunks,
+ *    (generate once, materialize as packed in-memory record chunks,
  *    every cell reads a plain array cursor). speedup = canonical/replay
  *    and must not drop below 1: if it does, the policy is
  *    materializing where regeneration is cheaper. The arms alternate
@@ -386,7 +386,7 @@ measureSampledSweep(int reps)
 // checkpoint-assisted arm has headroom to clear its 2x gate -- a
 // resumed cell still pays to restore the warmed state and to
 // regenerate the skipped stream up to its cursor (materialized
-// flat-chunk replay makes that a raw generator pass, a fraction of
+// packed-chunk replay makes that a raw generator pass, a fraction of
 // simulating it), so the ratio needs a deep warm-up to show -- while
 // the measurement budget stays long enough that per-cell scheduling
 // overhead is a small fraction of the cold arm (the

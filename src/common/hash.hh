@@ -1,11 +1,13 @@
 /**
  * @file
- * FNV-1a, the project's one content hash.
+ * FNV-1a, the project's content hash.
  *
  * Trace provenance hashes (RecordedTrace::hashParams, which CNCKPT01
- * checks on resume), CNCKPT01 checksums, result-cache keys and
- * cache-entry checksums all use this function, so a stored hash means
- * the same thing wherever it is read back.
+ * checks on resume), CNCKPT01 checksums and result-cache keys all use
+ * this function, so a stored hash means the same thing wherever it is
+ * read back. Result-cache entry checksums alone use a word-at-a-time
+ * mix (farm/cache.hh): they run over megabytes of checkpoint on a
+ * cell's critical path, where a byte-serial hash is too slow.
  */
 
 #ifndef CNSIM_COMMON_HASH_HH

@@ -1,6 +1,7 @@
 #include "farm/cache.hh"
 
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -10,7 +11,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "common/hash.hh"
 #include "common/logging.hh"
 #include "farm/cell.hh"
 #include "sample/checkpoint.hh"
@@ -56,10 +56,48 @@ getLE(const char *p, int bytes)
     return v;
 }
 
+/**
+ * One checksum round: fold word @p w into @p h. The xor, the multiply
+ * by an odd constant and the xor-shift are each a bijection of h, so a
+ * change confined to one word always changes the checksum. The
+ * multiply carries a bit only upward; the xor-shift brings the high
+ * half back down for the next round to spread again, so bit 63 of a
+ * word is not left alone in bit 63 where a second flip would cancel it.
+ */
+std::uint64_t
+mixWord(std::uint64_t h, std::uint64_t w)
+{
+    h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+    return h ^ (h >> 32);
+}
+
+/** MurmurHash3's fmix64: every input bit reaches every output bit. */
+std::uint64_t
+avalanche(std::uint64_t h)
+{
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    return h ^ (h >> 33);
+}
+
+/** The entry checksum of cache.hh, eight payload bytes per round. */
 std::uint64_t
 entryChecksum(char kind, const char *payload, std::size_t n)
 {
-    return fnv1a(payload, n, fnv1a(&kind, 1));
+    std::uint64_t h = mixWord(0, static_cast<unsigned char>(kind));
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        std::uint64_t w;
+        std::memcpy(&w, payload + i, sizeof(w));
+        if constexpr (std::endian::native == std::endian::big)
+            w = __builtin_bswap64(w);
+        h = mixWord(h, w);
+    }
+    if (i < n)
+        h = mixWord(h, getLE(payload + i, static_cast<int>(n - i)));
+    return avalanche(mixWord(h, n));
 }
 
 /** Write the complete entry file for @p payload (see cache.hh)

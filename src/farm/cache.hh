@@ -12,10 +12,16 @@
  *   u32 payload_len             at most 256 MiB
  *   u8  kind                    'r' or 'c'
  *   payload_len bytes           payload
- *   u64 checksum                FNV-1a over the kind byte + payload
+ *   u64 checksum                over the kind byte + payload (below)
  *
- * The checksum covers the kind byte, so flipping it cannot turn one
- * entry kind into the other. A truncated, corrupted, wrong-kind or
+ * The checksum folds 64-bit words with mix(h, w) = (h ^ w) *
+ * 0x9e3779b97f4a7c15, then h ^= h >> 32: first the kind byte from
+ * h = 0, then each 8-byte little-endian payload word in order (a final
+ * partial word zero-padded), then payload_len; MurmurHash3's fmix64
+ * of the result is stored. Every step is a bijection of h, so any
+ * change within one word is always caught, and every input bit
+ * reaches every output bit. It covers the kind byte, so flipping it
+ * cannot turn one entry kind into the other. A truncated, corrupted, wrong-kind or
  * over-long entry is *rejected*: warned about, unlinked, and reported
  * as a miss so the caller recomputes -- never trusted and never a
  * fatal. Checkpoint blobs are additionally gated on

@@ -41,9 +41,10 @@ namespace farm
 {
 
 /** Bumped whenever a change anywhere in the simulator can alter
- *  results or checkpoint state for an unchanged CellSpec; stale cache
- *  entries then miss instead of serving bytes from an older binary. */
-constexpr std::uint32_t farm_format_version = 4;
+ *  results or checkpoint state for an unchanged CellSpec, or the cache
+ *  entry format changes; stale cache entries then miss instead of
+ *  serving bytes from an older binary. */
+constexpr std::uint32_t farm_format_version = 5;
 
 /** One sweep grid cell; see the file comment. */
 struct CellSpec

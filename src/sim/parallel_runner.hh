@@ -122,7 +122,7 @@ class ParallelRunner
     /**
      * Fewest jobs sharing one stream for which planStreams()
      * materializes it instead of regenerating it inline per job.
-     * Materializing pays the generator once plus one flat-chunk read
+     * Materializing pays the generator once plus one packed-chunk read
      * per sharer; inline regeneration (CanonicalWorkload) pays the
      * generator and its reorder FIFO once per sharer. From two
      * sharers up materializing wins (perf_gate's sweep scenario

@@ -1,5 +1,6 @@
 #include "trace/replay.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/hash.hh"
@@ -18,6 +19,22 @@ namespace
  * so readers can index them without synchronizing with growth.
  */
 constexpr std::size_t max_chunks = 8192;
+
+/** A packed record holds addresses as 64-byte block numbers. */
+constexpr unsigned block_shift = 6;
+
+/** Addresses must lie below this to fit a u32 block number. */
+constexpr Addr packable_limit = Addr{1} << (32 + block_shift);
+
+/** How far ahead of the cursor ReplaySource::next() prefetches:
+ *  16 records = 256 B, four host lines. */
+constexpr std::uint32_t prefetch_records = 16;
+
+bool
+packable(Addr a)
+{
+    return (a & ((Addr{1} << block_shift) - 1)) == 0 && a < packable_limit;
+}
 
 void
 appendBytes(std::string &out, const void *p, std::size_t n)
@@ -117,28 +134,35 @@ RecordedTrace::grow(std::size_t idx)
                      max_chunks, chunk_records);
         std::vector<std::unique_ptr<Chunk>> pending;
         pending.reserve(static_cast<std::size_t>(num_cores));
-        for (int c = 0; c < num_cores; ++c) {
-            auto chunk = std::make_unique<Chunk>();
-            chunk->records.reserve(chunk_records);
-            pending.push_back(std::move(chunk));
-        }
+        for (int c = 0; c < num_cores; ++c)
+            pending.push_back(std::make_unique<Chunk>());
         // Canonical round-robin interleaving: core 0..N-1, repeat.
         // This fixed order -- not the simulated timing -- defines the
         // replayed stream, making it identical across organizations.
-        for (std::uint32_t r = 0; r < chunk_records; ++r) {
-            for (int c = 0; c < num_cores; ++c) {
-                TraceRecord rec = synth.source(c).next();
-                auto ci = static_cast<std::size_t>(c);
-                pending[ci]->instr_total += rec.gap + 1;
-                pending[ci]->records.push_back(rec);
-            }
-        }
+        for (std::uint32_t r = 0; r < chunk_records; ++r)
+            for (int c = 0; c < num_cores; ++c)
+                pending[static_cast<std::size_t>(c)]->append(
+                    synth.source(c).next());
         for (int c = 0; c < num_cores; ++c) {
             auto ci = static_cast<std::size_t>(c);
             slots[ci][pub] = std::move(pending[ci]);
         }
         published.store(pub + 1, std::memory_order_release);
     }
+}
+
+void
+RecordedTrace::Chunk::append(const TraceRecord &rec)
+{
+    cnsim_assert(packable(rec.iaddr) && packable(rec.addr),
+                 "record (iaddr %#llx, addr %#llx) does not pack: chunk "
+                 "records hold 64-byte aligned addresses below 2^38",
+                 static_cast<unsigned long long>(rec.iaddr),
+                 static_cast<unsigned long long>(rec.addr));
+    instr_total += rec.gap + 1;
+    records.push_back({rec.gap, static_cast<std::uint32_t>(rec.op),
+                       static_cast<std::uint32_t>(rec.iaddr >> block_shift),
+                       static_cast<std::uint32_t>(rec.addr >> block_shift)});
 }
 
 ReplaySource::ReplaySource(RecordedTrace &trace, int core)
@@ -164,7 +188,18 @@ ReplaySource::next()
     if (off == cur->nRecords())
         advanceTo(chunk_idx + 1);
     ++n_consumed;
-    return cur->records[off++];
+    const RecordedTrace::Chunk::Packed *recs = cur->records.data();
+    // The stream runs far ahead of the host caches; ask for a later
+    // line now, never past the chunk's last record.
+    __builtin_prefetch(
+        recs + std::min(off + prefetch_records, cur->nRecords() - 1));
+    const RecordedTrace::Chunk::Packed &p = recs[off++];
+    TraceRecord rec;
+    rec.gap = p.gap;
+    rec.iaddr = static_cast<Addr>(p.iblock) << block_shift;
+    rec.addr = static_cast<Addr>(p.block) << block_shift;
+    rec.op = static_cast<MemOp>(p.op);
+    return rec;
 }
 
 void

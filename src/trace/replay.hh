@@ -6,19 +6,24 @@
  * synthetic reference stream, yet historically every grid cell re-ran
  * the full generative model. A RecordedTrace materializes each
  * (workload, seed) stream once -- all cores, in a *canonical* order --
- * into flat per-core record buffers, and ReplaySource replays a core's
- * stream from those buffers with nothing but an array read per record.
- * Every cell of a sweep then shares one immutable trace (via
+ * into per-core record buffers, and ReplaySource replays a core's
+ * stream from those buffers with an array read and a few shifts per
+ * record. Every cell of a sweep then shares one immutable trace (via
  * TraceCache), so generation is paid once instead of once per cell,
  * and every organization is, by construction, measured against the
  * bit-identical reference stream.
  *
- * Chunks are deliberately flat TraceRecord arrays, not a packed
- * encoding: a varint-packed layout measured its per-record decode
- * costing as much as generation itself (~25 ns each), which capped a
- * replay-backed sweep at parity with regenerating the stream per cell.
- * 24 B/record (a few MB for the paper budgets) buys a decode-free hot
- * path that the hardware prefetcher streams.
+ * Chunk records are fixed-width 16-byte packs of a TraceRecord (32 B
+ * in memory): u32 gap, u32 op, and each address as a u32 64-byte block
+ * number (addr >> 6). Every synthetic address is 64-byte granular and,
+ * at up to 64 cores, below 2^35, so the pack is exact; append() panics
+ * on an address that is unaligned or at or above 2^38 rather than
+ * truncate it. Unpacking is two shifts, with no decoder state, so a
+ * cursor still hops chunks in O(1). (A varint-delta encoding was tried
+ * earlier and measured its per-record decode costing as much as
+ * generation itself, ~25 ns.) A sweep's cells read the stream far
+ * ahead of the host caches, so ReplaySource::next() also prefetches
+ * the record a fixed distance ahead, within the current chunk.
  *
  * Canonical generation order. The synthetic model keeps cross-thread
  * state (the ROS/RWS recently-used registries), so per-core streams
@@ -58,8 +63,8 @@ namespace cnsim
 
 /**
  * One (workload, seed) reference stream, materialized once for all
- * cores into flat per-core chunk lists. It owns a SynthWorkload and
- * extends every core's stream on demand (canonical round-robin
+ * cores into per-core lists of packed chunks. It owns a SynthWorkload
+ * and extends every core's stream on demand (canonical round-robin
  * order), so consumers never run dry and a cold cache costs exactly
  * one generation pass.
  */
@@ -69,21 +74,44 @@ class RecordedTrace
     /** Records per generated chunk, per core. */
     static constexpr std::uint32_t chunk_records = 4096;
 
-    /** One flat segment of a core's stream (see the file comment for
-     *  why chunks are not packed). The instruction
-     *  total lets ReplaySource fast-forward over a whole chunk in
-     *  O(1): it decides whether a scan-and-count loop would stop
-     *  inside it. */
-    struct Chunk
+    /** One segment of a core's stream, held as 16-byte packed records
+     *  (see the file comment). The instruction total lets ReplaySource
+     *  fast-forward over a whole chunk in O(1): it decides whether a
+     *  scan-and-count loop would stop inside it. */
+    class Chunk
     {
-        std::vector<TraceRecord> records;
-        /** Sum of (gap + 1) over the chunk's records. */
-        std::uint64_t instr_total = 0;
+      public:
+        Chunk() { records.reserve(chunk_records); }
+
+        /** Pack and append @p rec. Panics unless both of its addresses
+         *  are 64-byte aligned and below 2^38: the packed record keeps
+         *  each address as a 32-bit 64-byte block number, and an
+         *  address it cannot hold is never truncated. */
+        void append(const TraceRecord &rec);
 
         std::uint32_t nRecords() const
         {
             return static_cast<std::uint32_t>(records.size());
         }
+
+        /** Sum of (gap + 1) over the chunk's records. */
+        std::uint64_t instr_total = 0;
+
+      private:
+        friend class ReplaySource;
+
+        /** A TraceRecord with its addresses as 64-byte block numbers. */
+        struct Packed
+        {
+            std::uint32_t gap;
+            std::uint32_t op;
+            std::uint32_t iblock;
+            std::uint32_t block;
+        };
+        static_assert(sizeof(Packed) == 16,
+                      "four packed records per 64-byte host line");
+
+        std::vector<Packed> records;
     };
 
     /** The stream of a fresh SynthWorkload for @p params. */
@@ -145,7 +173,8 @@ class RecordedTrace
 /**
  * A final, pointer-bumping TraceSource over one core's stream of a
  * RecordedTrace. Replaces the whole generative machinery on the replay
- * side of a sweep: next() is an array read from the current chunk.
+ * side of a sweep: next() unpacks one record of the current chunk and
+ * prefetches a later one.
  *
  * Multiple ReplaySources (across threads) may share one RecordedTrace;
  * each keeps its own cursor.

@@ -24,7 +24,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/hash.hh"
 #include "farm/cache.hh"
 #include "farm/cell.hh"
 #include "farm/sweep.hh"
@@ -150,6 +149,54 @@ sampleResult()
     return r;
 }
 
+/**
+ * Write @p bytes as the result entry @p key of @p cache and expect a
+ * *warned* miss that also removes the entry -- never served, never
+ * fatal. @return the warning printed.
+ */
+std::string
+expectWarnedMiss(const farm::Cache &cache, std::uint64_t key,
+                 const std::string &bytes, const std::string &what)
+{
+    const std::string path = cache.entryPath('r', key);
+    writeBytes(path, bytes);
+    RunResult out;
+    ::testing::internal::CaptureStderr();
+    bool hit = cache.loadResult(key, out);
+    std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(hit) << what;
+    EXPECT_NE(err.find("rejecting corrupt cache entry"), std::string::npos)
+        << what;
+    EXPECT_FALSE(std::ifstream(path).good()) << what;
+    return err;
+}
+
+/** The entry checksum as cache.hh documents it, computed a byte at a
+ *  time (an independent reading of the layout comment). */
+std::uint64_t
+documentedChecksum(char kind, const std::string &payload)
+{
+    auto mix = [](std::uint64_t h, std::uint64_t w) {
+        h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+        return h ^ (h >> 32);
+    };
+    std::uint64_t h = mix(0, static_cast<unsigned char>(kind));
+    for (std::size_t i = 0; i < payload.size(); i += 8) {
+        std::uint64_t w = 0;
+        for (std::size_t b = 0; b < 8 && i + b < payload.size(); ++b)
+            w |= static_cast<std::uint64_t>(
+                     static_cast<unsigned char>(payload[i + b]))
+                 << (8 * b);
+        h = mix(h, w);
+    }
+    h = mix(h, payload.size());
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    return h ^ (h >> 33);
+}
+
 // ---------------------------------------------------------------------
 // Cache entry files: the checksummed frame every entry is stored as
 // ---------------------------------------------------------------------
@@ -190,31 +237,16 @@ TEST(Frame, TruncationAndCorruptionAreDetected)
     const std::string path = cache.entryPath('r', key);
     const std::string good = readBytes(path);
 
-    // Every damaged file must be a *warned* miss that also removes the
-    // entry -- never served, never fatal.
-    auto expectWarnedMiss = [&](const std::string &bytes,
-                                const std::string &what) {
-        writeBytes(path, bytes);
-        RunResult out;
-        ::testing::internal::CaptureStderr();
-        bool hit = cache.loadResult(key, out);
-        std::string err = ::testing::internal::GetCapturedStderr();
-        EXPECT_FALSE(hit) << what;
-        EXPECT_NE(err.find("rejecting corrupt cache entry"),
-                  std::string::npos)
-            << what;
-        EXPECT_FALSE(std::ifstream(path).good()) << what;
-    };
-
     for (std::size_t n = 0; n < good.size(); ++n)
-        expectWarnedMiss(good.substr(0, n),
+        expectWarnedMiss(cache, key, good.substr(0, n),
                          "truncated to " + std::to_string(n));
     for (std::size_t i = 0; i < good.size(); ++i) {
         std::string bad = good;
         bad[i] = static_cast<char>(bad[i] ^ 0x5a);
-        expectWarnedMiss(bad, "byte " + std::to_string(i) + " flipped");
+        expectWarnedMiss(cache, key, bad,
+                         "byte " + std::to_string(i) + " flipped");
     }
-    expectWarnedMiss(good + "x", "trailing byte");
+    expectWarnedMiss(cache, key, good + "x", "trailing byte");
 
     // The undamaged bytes still load.
     writeBytes(path, good);
@@ -309,10 +341,56 @@ TEST(FarmCache, ResultRoundTripMissAndCorruptionRejection)
     off.storeResult(key, r);
 }
 
+TEST(Frame, EveryBitFlipAndEveryBit63PairIsRejected)
+{
+    // The checksum must catch any one flipped bit anywhere in the file,
+    // and bit 63 flipped in two different payload words: a plain
+    // xor-multiply fold carries bit 63 nowhere, so two such flips
+    // would cancel.
+    farm::Cache cache(uniqueDir("farm_entry_bits"));
+    const std::uint64_t key = 7;
+    RunResult r = sampleResult();
+    r.core_ipc.assign(8, 0.5);
+    cache.storeResult(key, r);
+    const std::string good = readBytes(cache.entryPath('r', key));
+    constexpr std::size_t payload_at = 8 + 4 + 1;
+    const std::size_t payload_len = good.size() - payload_at - 8;
+    ASSERT_GE(payload_len / 8, 8u);
+
+    for (std::size_t bit = 0; bit < 8 * good.size(); ++bit) {
+        std::string bad = good;
+        bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+        std::string err = expectWarnedMiss(
+            cache, key, bad, "bit " + std::to_string(bit) + " flipped");
+        if (bit / 8 >= payload_at && bit / 8 < payload_at + payload_len) {
+            EXPECT_NE(err.find("checksum mismatch"), std::string::npos)
+                << "bit " << bit;
+        }
+    }
+    for (std::size_t i = 0; i < payload_len / 8; ++i) {
+        for (std::size_t j = i + 1; j < payload_len / 8; ++j) {
+            std::string bad = good;
+            for (std::size_t w : {i, j})
+                bad[payload_at + 8 * w + 7] =
+                    static_cast<char>(bad[payload_at + 8 * w + 7] ^ 0x80);
+            std::string err = expectWarnedMiss(
+                cache, key, bad,
+                "bit 63 of words " + std::to_string(i) + " and " +
+                    std::to_string(j));
+            EXPECT_NE(err.find("checksum mismatch"), std::string::npos);
+        }
+    }
+
+    writeBytes(cache.entryPath('r', key), good);
+    RunResult out;
+    EXPECT_TRUE(cache.loadResult(key, out));
+}
+
 TEST(FarmCache, StoredEntryMatchesTheDocumentedLayoutByteForByte)
 {
     // cache.hh's layout: magic, u32 payload length, kind byte, payload,
-    // u64 FNV-1a over kind + payload, all little-endian.
+    // u64 word-at-a-time checksum over kind + payload, all
+    // little-endian.
     std::string dir = uniqueDir("farm_layout");
     farm::Cache cache(dir);
     cache.storeCkpt(0x42, "abc");
@@ -320,7 +398,7 @@ TEST(FarmCache, StoredEntryMatchesTheDocumentedLayoutByteForByte)
                            "\x03\x00\x00\x00"
                            "c"
                            "abc"
-                           "\x36\xe7\x4d\xe8\x90\x6b\x2b\xb5",
+                           "\x35\xd9\xe0\xf1\xe9\x1f\x06\x01",
                            24);
     EXPECT_EQ(readBytes(cache.entryPath('c', 0x42)), want);
 
@@ -333,8 +411,7 @@ TEST(FarmCache, StoredEntryMatchesTheDocumentedLayoutByteForByte)
         frame.push_back(static_cast<char>(payload.size() >> (8 * i)));
     frame += 'r';
     frame += payload;
-    const std::uint64_t sum =
-        fnv1a(payload.data(), payload.size(), fnv1a("r", 1));
+    const std::uint64_t sum = documentedChecksum('r', payload);
     for (int i = 0; i < 8; ++i)
         frame.push_back(static_cast<char>(sum >> (8 * i)));
     EXPECT_EQ(readBytes(cache.entryPath('r', 0x42)), frame);

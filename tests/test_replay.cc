@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for materialized stream replay: canonical-order determinism
- * including concurrent chunk growth, the process-wide TraceCache, and
+ * including concurrent chunk growth, exact 16-byte record packing and
+ * its pack-time address check, the process-wide TraceCache, and
  * end-to-end replay equality across worker counts and trace instances.
  */
 
@@ -53,13 +54,14 @@ TEST(Replay, CanonicalGenerationIsDeterministic)
     }
 }
 
-TEST(Replay, MaterializedStreamIsRoundRobinGeneration)
+/**
+ * Read every core of a fresh materialized @p params stream across a
+ * chunk boundary, last core first, and expect it to equal the
+ * generator drawn core 0..N-1, repeat. @return the records read.
+ */
+std::vector<std::vector<TraceRecord>>
+expectRoundRobin(const SynthWorkloadParams &params)
 {
-    // The materialized stream is the generator drawn core 0..N-1,
-    // repeat -- across a chunk boundary -- whatever order the consumers
-    // read it in.
-    SynthWorkloadParams params = Runner::effectiveSynthParams(
-        workloads::byName("barnes"), RunConfig{});
     RecordedTrace trace(params);
     std::vector<std::vector<TraceRecord>> got;
     for (int c = trace.cores() - 1; c >= 0; --c) {
@@ -70,9 +72,75 @@ TEST(Replay, MaterializedStreamIsRoundRobinGeneration)
     SynthWorkload fresh(params);
     for (std::size_t i = 0; i < got[0].size(); ++i)
         for (int c = 0; c < trace.cores(); ++c)
-            ASSERT_TRUE(sameRecord(got[static_cast<std::size_t>(c)][i],
-                                   fresh.source(c).next()))
-                << "core " << c << " #" << i;
+            if (!sameRecord(got[static_cast<std::size_t>(c)][i],
+                            fresh.source(c).next())) {
+                ADD_FAILURE() << "core " << c << " #" << i;
+                return got;
+            }
+    return got;
+}
+
+TEST(Replay, MaterializedStreamIsRoundRobinGeneration)
+{
+    // The materialized stream is the generator drawn core 0..N-1,
+    // repeat -- across a chunk boundary -- whatever order the consumers
+    // read it in.
+    expectRoundRobin(Runner::effectiveSynthParams(
+        workloads::byName("barnes"), RunConfig{}));
+}
+
+TEST(Replay, PackedChunksHoldTheHighestSixtyFourCoreAddresses)
+{
+    // Per-core code regions and a stream share put core 63's private,
+    // stream and code addresses at their highest bases. The 16-byte
+    // packed chunk records must still give back every record exactly.
+    SynthWorkloadParams params = Runner::effectiveSynthParams(
+        workloads::byName("oltp", 64), RunConfig{});
+    params.shared_regions = false;
+    ASSERT_EQ(params.threads.size(), 64u);
+    const std::vector<TraceRecord> top = expectRoundRobin(params)[63];
+
+    const Addr priv = SynthWorkload::privateBase(63, false);
+    const Addr stream = SynthWorkload::streamBase(63);
+    bool saw_private = false, saw_stream = false, saw_code = false;
+    for (const TraceRecord &r : top) {
+        saw_private |= r.addr >= priv && r.addr < priv + 0x10000000ull;
+        saw_stream |= r.addr >= stream;
+        saw_code |= r.iaddr >= SynthWorkload::codeBaseFor(63, false);
+    }
+    EXPECT_TRUE(saw_private);
+    EXPECT_TRUE(saw_stream);
+    EXPECT_TRUE(saw_code);
+}
+
+TEST(ReplayDeathTest, UnpackableAddressesPanicAtPackTime)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // A packed record keeps addr >> 6 in 32 bits: an unaligned address
+    // or one at or above 2^38 must stop the run, not be truncated.
+    const Addr limit = Addr{1} << 38;
+    TraceRecord unaligned;
+    unaligned.addr = SynthWorkload::privateBase(0, true) + 8;
+    TraceRecord high;
+    high.addr = limit;
+    TraceRecord high_fetch;
+    high_fetch.iaddr = limit + 64;
+    for (const TraceRecord &bad : {unaligned, high, high_fetch}) {
+        EXPECT_DEATH(
+            {
+                RecordedTrace::Chunk chunk;
+                chunk.append(bad);
+            },
+            "does not pack");
+    }
+
+    // The highest packable address is accepted.
+    TraceRecord top;
+    top.addr = limit - 64;
+    top.iaddr = limit - 64;
+    RecordedTrace::Chunk chunk;
+    chunk.append(top);
+    EXPECT_EQ(chunk.nRecords(), 1u);
 }
 
 TEST(Replay, ConcurrentReadersMatchSerialBaseline)
