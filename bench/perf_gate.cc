@@ -35,10 +35,13 @@
  *    Every cell reads the same canonical stream either way; the
  *    comparison prices only the delivery mechanism: "canonical"
  *    regenerates the stream inline in every cell
- *    (RunConfig::canonical_live -- generator plus parking FIFO, 7
- *    times), "replay" is what planStreams() selects for 7 sharers
- *    (generate once, materialize as packed in-memory record chunks,
- *    every cell reads a plain array cursor). speedup = canonical/replay
+ *    (RunConfig::canonical_live -- a consume-once trace whose
+ *    producer thread draws the stream 7 times, once per cell), "replay"
+ *    is what planStreams() selects for 7 sharers (generate once, keep
+ *    the packed in-memory record chunks, every cell reads a plain
+ *    array cursor). Both arms read chunks through the same cursor, so
+ *    the ratio prices the 6 extra generation passes, now run off the
+ *    simulation thread. speedup = canonical/replay
  *    and must not drop below 1: if it does, the policy is
  *    materializing where regeneration is cheaper. The arms alternate
  *    within each rep so slow host drift hits both sides equally.

@@ -113,8 +113,9 @@ class FlatMap
     reserve(std::size_t n)
     {
         std::size_t want = min_capacity;
-        // Size so n entries stay under the 7/8 load threshold.
-        while (want * 7 < n * 8)
+        // Size so n entries stay under the 7/8 load threshold: the n-th
+        // insert rehashes when n * 8 >= capacity * 7 (maybeGrow()).
+        while (want * 7 <= n * 8)
             want <<= 1;
         if (want > slots.size())
             rehash(want);

@@ -874,10 +874,12 @@ CmpNurapid::checkInvariants() const
 {
     // 1. Every valid tag's forward pointer names a valid frame holding
     //    the same block.
+    std::size_t valid_tags = 0;
     for (int c = 0; c < params.num_cores; ++c) {
         for (const auto &e : tags[c]->raw()) {
             if (!e.valid)
                 continue;
+            ++valid_tags;
             cnsim_assert(isValid(e.state), "valid tag in state I");
             cnsim_assert(e.fwd.valid(), "valid tag without forward ptr");
             const Frame &f = data.at(e.fwd.dgroup, e.fwd.frame);
@@ -918,7 +920,10 @@ CmpNurapid::checkInvariants() const
         int frames = 0;
         bool dirty = false;
     };
+    // Sized once for the worst case (no two tags share a block), so
+    // the scan never rehashes.
     FlatMap<Addr, BlockAgg> agg;
+    agg.reserve(valid_tags);
     for (int c = 0; c < params.num_cores; ++c) {
         for (const auto &e : tags[c]->raw()) {
             if (!e.valid)

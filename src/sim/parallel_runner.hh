@@ -24,8 +24,8 @@
  * state. The simulator's only globals are the logging quiet flag /
  * stderr stream, which common/logging.cc makes thread-safe, and the
  * TraceCache, which planStreams() consults serially before any worker
- * starts; System, CanonicalWorkload, EventQueue, Rng, and StatGroup
- * are all per-job instances.
+ * starts; System, CanonicalWorkload (with its stream producer thread),
+ * EventQueue, Rng, and StatGroup are all per-job instances.
  */
 
 #ifndef CNSIM_SIM_PARALLEL_RUNNER_HH
@@ -121,14 +121,17 @@ class ParallelRunner
 
     /**
      * Fewest jobs sharing one stream for which planStreams()
-     * materializes it instead of regenerating it inline per job.
-     * Materializing pays the generator once plus one packed-chunk read
-     * per sharer; inline regeneration (CanonicalWorkload) pays the
-     * generator and its reorder FIFO once per sharer. From two
+     * materializes it instead of regenerating it inline per job. Both
+     * deliveries draw the stream with the same loop, on a producer
+     * thread ahead of the run, and read it as packed chunks; they
+     * differ in what they keep. Materializing pays the generator once
+     * and keeps every chunk for the other sharers; inline
+     * regeneration (CanonicalWorkload) pays the generator once per
+     * sharer and recycles each chunk as soon as it is read. From two
      * sharers up materializing wins (perf_gate's sweep scenario
      * prices both at seven sharers, floored at 1.0 by perfcmp); a
-     * lone job does not amortize the materialization, so it
-     * regenerates.
+     * lone job has no one to keep the chunks for, so it regenerates
+     * in a fraction of the memory.
      */
     static constexpr unsigned min_stream_sharers = 2;
 

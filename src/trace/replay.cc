@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <system_error>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -11,14 +13,6 @@ namespace cnsim
 
 namespace
 {
-
-/**
- * Upper bound on chunks per core (8192 x 4096 records covers ~1.4 G
- * instructions per core at the paper workloads' densest record rate --
- * beyond any configured budget). The slot tables are pre-sized to this
- * so readers can index them without synchronizing with growth.
- */
-constexpr std::size_t max_chunks = 8192;
 
 /** A packed record holds addresses as 64-byte block numbers. */
 constexpr unsigned block_shift = 6;
@@ -104,17 +98,34 @@ serializeParams(const SynthWorkloadParams &params)
 
 } // namespace
 
-RecordedTrace::RecordedTrace(const SynthWorkloadParams &params)
+RecordedTrace::RecordedTrace(const SynthWorkloadParams &params,
+                             Retention retention)
     : num_cores(static_cast<int>(params.threads.size())),
       trace_seed(params.seed), params_hash(hashParams(params)),
-      synth(params)
+      retention(retention),
+      records_per_chunk(retention == Retention::KeepAll
+                            ? chunk_records
+                            : consume_once_chunk_records),
+      lookahead(retention == Retention::KeepAll
+                    ? lookahead_chunks
+                    : consume_once_lookahead_chunks),
+      synth(params), round(params.threads.size()),
+      rings(params.threads.size()), base(params.threads.size(), 0)
 {
-    slots.resize(params.threads.size());
-    for (auto &core_slots : slots)
-        core_slots.resize(max_chunks);
+    for (auto &ring : rings)
+        ring.resize(1);
 }
 
-RecordedTrace::~RecordedTrace() = default;
+RecordedTrace::~RecordedTrace()
+{
+    {
+        MutexLock lock(slot_mutex);
+        stopping.store(true, std::memory_order_relaxed);
+    }
+    wake.notify_one();
+    if (producer.joinable())
+        producer.join();
+}
 
 std::uint64_t
 RecordedTrace::hashParams(const SynthWorkloadParams &params)
@@ -123,31 +134,147 @@ RecordedTrace::hashParams(const SynthWorkloadParams &params)
     return fnv1a(bytes.data(), bytes.size());
 }
 
-void
-RecordedTrace::grow(std::size_t idx)
+const RecordedTrace::Chunk *
+RecordedTrace::chunk(int core, std::size_t idx)
 {
-    MutexLock lock(grow_mutex);
-    while (published.load(std::memory_order_relaxed) <= idx) {
-        std::size_t pub = published.load(std::memory_order_relaxed);
-        cnsim_assert(pub < max_chunks,
-                     "trace exceeds %zu chunks of %u records per core",
-                     max_chunks, chunk_records);
-        std::vector<std::unique_ptr<Chunk>> pending;
-        pending.reserve(static_cast<std::size_t>(num_cores));
-        for (int c = 0; c < num_cores; ++c)
-            pending.push_back(std::make_unique<Chunk>());
-        // Canonical round-robin interleaving: core 0..N-1, repeat.
-        // This fixed order -- not the simulated timing -- defines the
-        // replayed stream, making it identical across organizations.
-        for (std::uint32_t r = 0; r < chunk_records; ++r)
-            for (int c = 0; c < num_cores; ++c)
-                pending[static_cast<std::size_t>(c)]->append(
-                    synth.source(c).next());
-        for (int c = 0; c < num_cores; ++c) {
-            auto ci = static_cast<std::size_t>(c);
-            slots[ci][pub] = std::move(pending[ci]);
+    const auto c = static_cast<std::size_t>(core);
+    for (;;) {
+        {
+            MutexLock lock(slot_mutex);
+            if (retention == Retention::ConsumeOnce)
+                release(c, idx);
+            demand(idx);
+            if (idx < published)
+                return cell(c, idx).get();
         }
-        published.store(pub + 1, std::memory_order_release);
+        // Not yet published: draw it here rather than wait on the
+        // producer, which may be parked or busy with an earlier round.
+        MutexLock lock(grow_mutex);
+        drawRound(idx + 1);
+    }
+}
+
+std::size_t
+RecordedTrace::heldChunks(int core)
+{
+    MutexLock lock(slot_mutex);
+    return published - base[static_cast<std::size_t>(core)];
+}
+
+void
+RecordedTrace::release(std::size_t core, std::size_t idx)
+{
+    cnsim_assert(idx >= base[core],
+                 "core %zu of a consume-once trace went back to chunk "
+                 "%zu after leaving it",
+                 core, idx);
+    // Keep enough blanks for the whole lookahead; free the surplus a
+    // laggard returns after heavy skew.
+    const std::size_t keep = (lookahead + 1) * rings.size();
+    for (; base[core] < idx; ++base[core]) {
+        std::unique_ptr<Chunk> &slot = cell(core, base[core]);
+        if (blanks.size() < keep)
+            blanks.push_back(std::move(slot));
+        else
+            slot.reset();
+    }
+}
+
+void
+RecordedTrace::demand(std::size_t idx)
+{
+    // Chunk 0 is drawn before the run starts, by its consumer alone;
+    // the lookahead is the producer's, which starts past chunk 0.
+    const std::size_t want = idx == 0 ? 1 : idx + 1 + lookahead;
+    if (want <= wanted)
+        return;
+    // Everything the rounds below `want` will need is allocated here,
+    // on the consumer's thread: the producer only moves pointers.
+    for (std::size_t c = 0; c < rings.size(); ++c) {
+        std::vector<std::unique_ptr<Chunk>> &ring = rings[c];
+        if (want - base[c] <= ring.size())
+            continue;
+        std::size_t size = ring.size();
+        while (size < want - base[c])
+            size *= 2;
+        std::vector<std::unique_ptr<Chunk>> grown(size);
+        for (std::size_t i = base[c]; i < published; ++i)
+            grown[i & (size - 1)] = std::move(cell(c, i));
+        ring.swap(grown);
+    }
+    const std::size_t need = (want - published) * rings.size();
+    while (blanks.size() + drawing < need)
+        blanks.push_back(std::make_unique<Chunk>(records_per_chunk));
+    wanted = want;
+
+    if (idx >= 1 && !producer_started) {
+        producer_started = true;
+        try {
+            producer = std::thread([this]() { produce(); });
+        } catch (const std::system_error &) {
+            // No thread to spare: consumers draw every round themselves.
+        }
+    }
+    // Wake a parked producer only once half the lookahead is missing,
+    // so it draws rounds in batches rather than one per wake-up.
+    if (producer_idle && wanted - published >= (lookahead + 1) / 2)
+        wake.notify_one();
+}
+
+void
+RecordedTrace::drawRound(std::size_t limit)
+{
+    {
+        MutexLock lock(slot_mutex);
+        if (published >= std::min(limit, wanted))
+            return;
+        cnsim_assert(blanks.size() >= round.size(),
+                     "no blank chunks for wanted round %zu", published);
+        for (std::unique_ptr<Chunk> &ch : round) {
+            ch = std::move(blanks.back());
+            blanks.pop_back();
+            ch->clear();
+        }
+        drawing = round.size();
+    }
+    // Canonical round-robin interleaving: core 0..N-1, repeat. This
+    // fixed order -- not the simulated timing, nor which thread draws
+    // -- defines the stream, making it identical across organizations,
+    // grids, --jobs values and deliveries.
+    for (std::uint32_t r = 0; r < records_per_chunk; ++r) {
+        if (stopping.load(std::memory_order_relaxed))
+            return;
+        for (int c = 0; c < num_cores; ++c)
+            round[static_cast<std::size_t>(c)]->append(
+                synth.source(c).next());
+    }
+    MutexLock lock(slot_mutex);
+    for (std::size_t c = 0; c < round.size(); ++c)
+        cell(c, published) = std::move(round[c]);
+    ++published;
+    drawing = 0;
+}
+
+void
+RecordedTrace::produce()
+{
+    for (;;) {
+        {
+            MutexLock lock(slot_mutex);
+            while (!stopping.load(std::memory_order_relaxed) &&
+                   published >= wanted) {
+                producer_idle = true;
+                // condition_variable_any waits on the Mutex capability
+                // itself (BasicLockable); MutexLock above keeps the
+                // scoped extent visible to the thread-safety analysis.
+                wake.wait(slot_mutex);
+            }
+            producer_idle = false;
+            if (stopping.load(std::memory_order_relaxed))
+                return;
+        }
+        MutexLock lock(grow_mutex);
+        drawRound(std::numeric_limits<std::size_t>::max());
     }
 }
 
@@ -280,56 +407,11 @@ TraceCache::liveEntries()
     return n;
 }
 
-// ---------------------------------------------------------------------
-// CanonicalWorkload: the canonical stream without materialization.
-// ---------------------------------------------------------------------
-
-/**
- * A final TraceSource popping one core's records from its FIFO buffer,
- * drawing a fresh canonical round from the shared workload whenever
- * the buffer runs dry. The buffer absorbs consumption skew: a core
- * running ahead of the others forces rounds that park records in the
- * laggards' buffers, bounded by the cores' retirement skew (the run
- * ends when the *first* core meets its budget).
- */
-class CanonicalWorkload::CoreSource final : public TraceSource
-{
-  public:
-    explicit CoreSource(CanonicalWorkload &o) : owner(o) {}
-
-    TraceRecord
-    next() override
-    {
-        if (head == buf.size()) {
-            buf.clear();
-            head = 0;
-            owner.drawRound();
-        } else if (head >= buf.size() - head) {
-            // Trim the consumed prefix once it is at least as long as
-            // the backlog: each surviving record has been paid for by
-            // a prior pop, so the move cost amortizes to O(1) per
-            // record regardless of how far this core lags, and the
-            // held memory stays within 2x the live skew.
-            buf.erase(buf.begin(),
-                      buf.begin() + static_cast<std::ptrdiff_t>(head));
-            head = 0;
-        }
-        return buf[head++];
-    }
-
-  private:
-    friend class CanonicalWorkload;
-
-    CanonicalWorkload &owner;
-    std::vector<TraceRecord> buf;
-    std::size_t head = 0;
-};
-
 CanonicalWorkload::CanonicalWorkload(const SynthWorkloadParams &params)
-    : synth(params), num_cores(static_cast<int>(params.threads.size()))
+    : trace(params, RecordedTrace::Retention::ConsumeOnce)
 {
-    for (int c = 0; c < num_cores; ++c)
-        sources.push_back(std::make_unique<CoreSource>(*this));
+    for (int c = 0; c < trace.cores(); ++c)
+        sources.push_back(std::make_unique<ReplaySource>(trace, c));
 }
 
 CanonicalWorkload::~CanonicalWorkload() = default;
@@ -338,17 +420,6 @@ TraceSource &
 CanonicalWorkload::source(int core)
 {
     return *sources[static_cast<std::size_t>(core)];
-}
-
-void
-CanonicalWorkload::drawRound()
-{
-    // Must match RecordedTrace::grow() exactly: this fixed interleaving
-    // -- not the simulated timing -- is what makes the stream identical
-    // across organizations, grids, --jobs values, and deliveries.
-    for (int c = 0; c < num_cores; ++c)
-        sources[static_cast<std::size_t>(c)]->buf.push_back(
-            synth.source(c).next());
 }
 
 } // namespace cnsim

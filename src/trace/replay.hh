@@ -1,6 +1,6 @@
 /**
  * @file
- * Canonical reference streams: materialized once, or regenerated inline.
+ * Canonical reference streams: materialized once, or consumed once.
  *
  * A paper figure is a grid of L2 organizations all driven by the same
  * synthetic reference stream, yet historically every grid cell re-ran
@@ -33,25 +33,39 @@
  * organizations. Every run instead draws records round-robin (core
  * 0..N-1, repeat), a fixed interleaving independent of any simulator
  * timing: one stream, identical for every organization, every grid,
- * every --jobs value, and every host. A RecordedTrace materializes
- * that stream; a CanonicalWorkload regenerates it inline. The stream
+ * every --jobs value, and every host. RecordedTrace::drawRound() is
+ * the one loop that draws it. A trace either keeps every chunk
+ * (materialized: a sweep's cells share it, checkpoints and sampling
+ * reposition in it) or recycles each chunk once its core's one cursor
+ * leaves it (consume-once: CanonicalWorkload, a lone run). The stream
  * is a pure function of the workload parameters and seed, so nothing
  * about it is ever stored: a run that needs it again regenerates it.
  *
- * Thread-safety: a RecordedTrace generates lazily in fixed-size chunks
- * under a mutex, publishing each completed chunk with a release store;
- * ReplaySources on any thread read published chunks lock-free.
+ * Thread-safety and the producer. Rounds are drawn under grow_mutex,
+ * in round order, whichever thread draws them, so the stream never
+ * depends on which thread drew it. Once a consumer moves past chunk 0
+ * the trace starts one producer thread that keeps a fixed number of
+ * chunks published ahead of the furthest consumer, taking generation
+ * off the simulation thread. It is only a helper: a consumer that
+ * reaches an unpublished chunk draws it itself, as if there were no
+ * producer. The producer never allocates -- consumers hand it blank
+ * chunks and ring room -- so it never opens a malloc arena of its own,
+ * and on destruction it drops its unpublished round and is joined.
+ * Consumers take a short slot lock once per chunk to fetch it;
+ * ReplaySources on any thread read a fetched chunk lock-free.
  */
 
 #ifndef CNSIM_TRACE_REPLAY_HH
 #define CNSIM_TRACE_REPLAY_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_annotations.hh"
@@ -62,17 +76,37 @@ namespace cnsim
 {
 
 /**
- * One (workload, seed) reference stream, materialized once for all
- * cores into per-core lists of packed chunks. It owns a SynthWorkload
- * and extends every core's stream on demand (canonical round-robin
- * order), so consumers never run dry and a cold cache costs exactly
- * one generation pass.
+ * One (workload, seed) reference stream for all cores, as per-core
+ * lists of packed chunks. It owns a SynthWorkload and extends every
+ * core's stream on demand (canonical round-robin order), so consumers
+ * never run dry and a cold cache costs exactly one generation pass.
+ * Its retention decides whether a chunk outlives its readers.
  */
 class RecordedTrace
 {
   public:
-    /** Records per generated chunk, per core. */
+    /** Records per chunk, per core, of a trace that keeps its chunks. */
     static constexpr std::uint32_t chunk_records = 4096;
+
+    /** Records per chunk of a consume-once trace. Small, because its
+     *  first chunk is drawn on the simulation thread before the run
+     *  starts. */
+    static constexpr std::uint32_t consume_once_chunk_records = 512;
+
+    /** Chunks the producer publishes ahead of the furthest consumer. */
+    static constexpr std::size_t lookahead_chunks = 2;
+    static constexpr std::size_t consume_once_lookahead_chunks = 8;
+
+    /** What becomes of a chunk its core's cursor has left. */
+    enum class Retention
+    {
+        /** Kept: a sweep's cells reread the stream, and checkpoints
+         *  and sampling reposition in it. */
+        KeepAll,
+        /** Recycled: each core has one cursor that reads its stream
+         *  once, front to back. */
+        ConsumeOnce,
+    };
 
     /** One segment of a core's stream, held as 16-byte packed records
      *  (see the file comment). The instruction total lets ReplaySource
@@ -81,13 +115,24 @@ class RecordedTrace
     class Chunk
     {
       public:
-        Chunk() { records.reserve(chunk_records); }
+        explicit Chunk(std::uint32_t capacity = chunk_records)
+        {
+            records.reserve(capacity);
+        }
 
         /** Pack and append @p rec. Panics unless both of its addresses
          *  are 64-byte aligned and below 2^38: the packed record keeps
          *  each address as a 32-bit 64-byte block number, and an
          *  address it cannot hold is never truncated. */
         void append(const TraceRecord &rec);
+
+        /** Empty the chunk for reuse, keeping its buffer. */
+        void
+        clear()
+        {
+            records.clear();
+            instr_total = 0;
+        }
 
         std::uint32_t nRecords() const
         {
@@ -115,8 +160,10 @@ class RecordedTrace
     };
 
     /** The stream of a fresh SynthWorkload for @p params. */
-    explicit RecordedTrace(const SynthWorkloadParams &params);
+    explicit RecordedTrace(const SynthWorkloadParams &params,
+                           Retention retention = Retention::KeepAll);
 
+    /** Stops the producer, dropping a round it has not published. */
     ~RecordedTrace();
 
     RecordedTrace(const RecordedTrace &) = delete;
@@ -131,53 +178,99 @@ class RecordedTrace
     std::uint64_t paramsHash() const { return params_hash; }
 
     /**
-     * Chunk @p idx of @p core's stream, generated (and published)
-     * first if needed. Lock-free for already-published chunks.
+     * Chunk @p idx of @p core's stream, drawn first if nobody has
+     * published it yet. A consume-once trace also recycles every
+     * earlier chunk of @p core: its one cursor has left them.
      */
-    const Chunk *
-    chunk(int core, std::size_t idx)
-    {
-        if (idx >= published.load(std::memory_order_acquire))
-            grow(idx);
-        return slots[static_cast<std::size_t>(core)][idx].get();
-    }
+    const Chunk *chunk(int core, std::size_t idx);
+
+    /** Chunks of @p core published and not yet recycled. */
+    std::size_t heldChunks(int core);
 
     /** FNV-1a hash of a params structure (checkpoint provenance). */
     static std::uint64_t hashParams(const SynthWorkloadParams &params);
 
   private:
-    /** Generate and publish chunks until @p idx is available. */
-    void grow(std::size_t idx);
+    /**
+     * Draw round `published` -- one chunk per core, core 0..N-1, row by
+     * row -- and publish it, if it is below both @p limit and the
+     * wanted frontier. Abandons the round if the trace is stopping.
+     */
+    void drawRound(std::size_t limit) CNSIM_REQUIRES(grow_mutex);
+
+    /** Raise the wanted frontier to @p idx plus the lookahead: provide
+     *  its blank chunks and ring room, start or wake the producer. */
+    void demand(std::size_t idx) CNSIM_REQUIRES(slot_mutex);
+
+    /** Recycle @p core's chunks below @p idx (consume-once). */
+    void release(std::size_t core, std::size_t idx)
+        CNSIM_REQUIRES(slot_mutex);
+
+    /** The ring cell of @p core's chunk @p idx. */
+    std::unique_ptr<Chunk> &
+    cell(std::size_t core, std::size_t idx) CNSIM_REQUIRES(slot_mutex)
+    {
+        std::vector<std::unique_ptr<Chunk>> &ring = rings[core];
+        return ring[idx & (ring.size() - 1)];
+    }
+
+    /** The producer thread's loop. */
+    void produce();
 
     const int num_cores;
     const std::uint64_t trace_seed;
     const std::uint64_t params_hash;
+    const Retention retention;
+    const std::uint32_t records_per_chunk;
+    const std::size_t lookahead;
 
-    /** Advances only under grow_mutex. */
-    SynthWorkload synth CNSIM_GUARDED_BY(grow_mutex);
-
-    /**
-     * slots[core][chunk] -> published chunks. Pre-sized so readers can
-     * index without synchronizing with growth; `published` (release/
-     * acquire) is the visibility fence for slot contents.
-     */
-    std::vector<std::vector<std::unique_ptr<Chunk>>> slots
-        CNSIM_SYNC_NOTE("cells below `published` are frozen and read "
-                        "lock-free; cells above it are written only "
-                        "under grow_mutex, then published with a "
-                        "release store");
-    std::atomic<std::size_t> published{0};
     Mutex grow_mutex;
+    /** Advances only under grow_mutex, one whole round at a time. */
+    SynthWorkload synth CNSIM_GUARDED_BY(grow_mutex);
+    /** The round being drawn, one chunk per core. */
+    std::vector<std::unique_ptr<Chunk>> round
+        CNSIM_GUARDED_BY(grow_mutex);
+
+    Mutex slot_mutex;
+    /**
+     * rings[core]: a power-of-two ring holding chunks [base[core],
+     * published) at idx & (size - 1). Grown only on consumer threads,
+     * before the wanted frontier that needs the room is raised.
+     */
+    std::vector<std::vector<std::unique_ptr<Chunk>>> rings
+        CNSIM_GUARDED_BY(slot_mutex);
+    /** Oldest chunk each core still holds; always 0 when keeping. */
+    std::vector<std::size_t> base CNSIM_GUARDED_BY(slot_mutex);
+    /** Chunks [0, published) of every core are drawn. */
+    std::size_t published CNSIM_GUARDED_BY(slot_mutex) = 0;
+    /** Rounds below this are wanted: the furthest chunk any consumer
+     *  asked for, plus the lookahead. */
+    std::size_t wanted CNSIM_GUARDED_BY(slot_mutex) = 0;
+    /** Empty chunks, enough with `drawing` for every wanted round. */
+    std::vector<std::unique_ptr<Chunk>> blanks
+        CNSIM_GUARDED_BY(slot_mutex);
+    /** Blank chunks out of `blanks` in the round being drawn. */
+    std::size_t drawing CNSIM_GUARDED_BY(slot_mutex) = 0;
+    bool producer_started CNSIM_GUARDED_BY(slot_mutex) = false;
+    bool producer_idle CNSIM_GUARDED_BY(slot_mutex) = false;
+    /** Set once, under slot_mutex, by the destructor; drawRound()
+     *  polls it lock-free once per row. */
+    std::atomic<bool> stopping{false};
+    std::condition_variable_any wake;
+    /** Declared last: it runs produce() on every member above. */
+    std::thread producer CNSIM_SYNC_NOTE(
+        "started once under slot_mutex; joined by the destructor");
 };
 
 /**
  * A final, pointer-bumping TraceSource over one core's stream of a
- * RecordedTrace. Replaces the whole generative machinery on the replay
- * side of a sweep: next() unpacks one record of the current chunk and
- * prefetches a later one.
+ * RecordedTrace. Replaces the whole generative machinery on the
+ * simulation thread: next() unpacks one record of the current chunk
+ * and prefetches a later one.
  *
- * Multiple ReplaySources (across threads) may share one RecordedTrace;
- * each keeps its own cursor.
+ * Multiple ReplaySources (across threads) may share a trace that
+ * keeps its chunks, each with its own cursor. A consume-once trace
+ * takes exactly one ReplaySource per core.
  */
 class ReplaySource final : public TraceSource
 {
@@ -212,25 +305,24 @@ class ReplaySource final : public TraceSource
 };
 
 /**
- * Canonical-order inline generation: the replay *stream* without the
- * materialized *trace*.
+ * The canonical stream of a run that reads it once: a consume-once
+ * RecordedTrace and one ReplaySource per core.
  *
- * What defines the stream is the canonical draw order, not
- * materialized bytes; this class reproduces exactly that order -- one
- * record per core, core 0..N-1, repeat, identical to
- * RecordedTrace::grow() -- straight out of a SynthWorkload, with
- * per-core FIFO buffers absorbing the skew between the fixed
- * generation order and the timing-dependent consumption order. Every
- * record equals the materialized trace's record at the same position,
- * so results are byte-identical to replay at no materialization cost,
- * which is the cheaper delivery for a stream only one run consumes.
+ * Every record equals the materialized trace's record at the same
+ * position -- it is drawn by the same loop -- so results are
+ * byte-identical to a shared materialized trace. Chunks are recycled
+ * as soon as their core's cursor leaves them, so memory follows the
+ * cores' consumption skew, not the run length: the cheaper delivery
+ * for a stream only one run consumes.
  *
  * A materialized RecordedTrace is the cheaper delivery when several
  * runs share a stream or a run repositions its cursor (checkpoint
  * save/load, sampling's O(1) chunk hops); planStreams() in
  * sim/parallel_runner.hh encodes that policy.
  *
- * Not thread-safe: one instance drives one run, like SynthWorkload.
+ * One instance drives one run. Each core's source is read by one
+ * thread at a time; different cores may be read from different
+ * threads.
  */
 class CanonicalWorkload
 {
@@ -241,20 +333,15 @@ class CanonicalWorkload
     CanonicalWorkload(const CanonicalWorkload &) = delete;
     CanonicalWorkload &operator=(const CanonicalWorkload &) = delete;
 
-    int cores() const { return num_cores; }
+    int cores() const { return trace.cores(); }
 
     /** Trace source driving @p core; emits the canonical stream. */
     TraceSource &source(int core);
 
   private:
-    class CoreSource;
-
-    /** Draw one canonical round: one record per core, core 0..N-1. */
-    void drawRound();
-
-    SynthWorkload synth;
-    int num_cores;
-    std::vector<std::unique_ptr<CoreSource>> sources;
+    RecordedTrace trace;
+    /** Declared after `trace`, so the cursors go first. */
+    std::vector<std::unique_ptr<ReplaySource>> sources;
 };
 
 /**

@@ -13,6 +13,8 @@ namespace
 constexpr unsigned l2_block = 128;
 /** Capacity of the global recently-written RWS registry. */
 constexpr std::size_t rws_registry_size = 64;
+/** Capacity of the global recently-read ROS registry. */
+constexpr std::size_t ros_registry_size = 128;
 } // namespace
 
 std::uint32_t
@@ -183,7 +185,6 @@ class SynthWorkload::ThreadSource : public TraceSource
                 ros_addr = rosBase() +
                            static_cast<Addr>(rng.below(p.ros_blocks)) *
                                l2_block;
-                constexpr std::size_t ros_registry_size = 128;
                 if (recent.size() < ros_registry_size) {
                     recent.push_back(ros_addr);
                 } else {
@@ -282,7 +283,10 @@ class SynthWorkload::ThreadSource : public TraceSource
 SynthWorkload::SynthWorkload(const SynthWorkloadParams &p) : params(p)
 {
     cnsim_assert(!p.threads.empty(), "workload needs at least one thread");
+    // Both registries are sized up front, so drawing a record never
+    // allocates (RecordedTrace's producer thread must not).
     rws_recent.reserve(rws_registry_size);
+    ros_recent.reserve(ros_registry_size);
     for (int t = 0; t < static_cast<int>(p.threads.size()); ++t) {
         sources.emplace_back(std::make_unique<ThreadSource>(
             *this, t, p.threads[t], p.seed * 7919 + t));

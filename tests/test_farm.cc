@@ -497,6 +497,40 @@ TEST(CanonicalWorkload, MatchesMaterializedReplayRecordForRecord)
     }
 }
 
+TEST(CanonicalWorkload, HeavilySkewedDrainMatchesMaterializedStream)
+{
+    // An even start wraps every core's chunk ring. Then core 0 runs 20
+    // consume-once chunks ahead, so the laggards' wrapped rings must
+    // grow to hold the chunks piling up unread; then each laggard
+    // catches up. Neither the skew nor the producer drawing ahead may
+    // change a record.
+    farm::CellSpec spec = quickSpec(L2Kind::Shared);
+    ParallelJob job = farm::buildJob(spec);
+    SynthWorkloadParams params =
+        Runner::effectiveSynthParams(job.workload, job.run_cfg);
+
+    CanonicalWorkload canon(params);
+    RecordedTrace trace(params);
+    ASSERT_GT(canon.cores(), 1);
+    std::vector<std::unique_ptr<ReplaySource>> replays;
+    for (int c = 0; c < trace.cores(); ++c)
+        replays.push_back(std::make_unique<ReplaySource>(trace, c));
+    auto same = [&](int c) {
+        TraceRecord a = canon.source(c).next();
+        TraceRecord b = replays[static_cast<std::size_t>(c)]->next();
+        return a.gap == b.gap && a.iaddr == b.iaddr && a.addr == b.addr &&
+               a.op == b.op;
+    };
+    const std::size_t chunk = RecordedTrace::consume_once_chunk_records;
+    for (std::size_t i = 0; i < 30 * chunk; ++i)
+        for (int c = 0; c < canon.cores(); ++c)
+            ASSERT_TRUE(same(c)) << "even start, core " << c << " #" << i;
+    const std::size_t lead = 20 * chunk + 123;
+    for (int c = 0; c < canon.cores(); ++c)
+        for (std::size_t i = 0; i < lead; ++i)
+            ASSERT_TRUE(same(c)) << "core " << c << " #" << i;
+}
+
 TEST(CanonicalWorkload, RunnerResultsMatchMaterializedReplay)
 {
     ParallelJob canon = farm::buildJob(quickSpec(L2Kind::Nurapid));

@@ -59,6 +59,19 @@ TEST(FlatMap, GrowsThroughManyInserts)
     }
 }
 
+TEST(FlatMap, ReserveHoldsThatManyEntriesWithoutRehash)
+{
+    // n = 14 fills a 16-slot table exactly to its 7/8 threshold.
+    for (std::uint64_t n = 1; n <= 300; ++n) {
+        FlatMap<std::uint64_t, int> m;
+        m.reserve(n);
+        std::size_t cap = m.capacity();
+        for (std::uint64_t k = 0; k < n; ++k)
+            m[k * 0x9e3779b97f4a7c15ULL] = 1;
+        EXPECT_EQ(m.capacity(), cap) << "n = " << n;
+    }
+}
+
 TEST(FlatMap, TombstoneSlotsAreReusedWithoutGrowth)
 {
     FlatMap<std::uint64_t, int> m;

@@ -1,13 +1,15 @@
 /**
  * @file
- * Tests for materialized stream replay: canonical-order determinism
- * including concurrent chunk growth, exact 16-byte record packing and
- * its pack-time address check, the process-wide TraceCache, and
- * end-to-end replay equality across worker counts and trace instances.
+ * Tests for stream replay: canonical-order determinism including
+ * concurrent chunk growth, exact 16-byte record packing and its
+ * pack-time address check, the producer's shutdown, consume-once
+ * recycling, the process-wide TraceCache, and end-to-end replay
+ * equality across worker counts and trace instances.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -179,6 +181,73 @@ TEST(Replay, ConcurrentReadersMatchSerialBaseline)
                 baseline[static_cast<std::size_t>(c)][i]))
                 << "core " << c << " #" << i;
     }
+}
+
+TEST(Replay, DestroyingATraceMidRoundReturnsPromptly)
+{
+    // 64 cores x 4096 rows make one round long. Reading into chunk 1
+    // starts the producer, which then draws round 2 for the lookahead;
+    // destruction must abandon that round, not finish it.
+    SynthWorkloadParams params = Runner::effectiveSynthParams(
+        workloads::byName("oltp", 64), RunConfig{});
+    using Clock = std::chrono::steady_clock;
+    auto trace = std::make_unique<RecordedTrace>(params);
+    Clock::time_point t0 = Clock::now();
+    {
+        ReplaySource src(*trace, 0);
+        src.skip(RecordedTrace::chunk_records + 1);
+    }
+    Clock::time_point t1 = Clock::now();
+    trace.reset();
+    Clock::time_point t2 = Clock::now();
+    // The reader drew, or waited for, rounds 0 and 1; an unabandoned
+    // round 2 would take about half that.
+    EXPECT_LT(t2 - t1, (t1 - t0) / 4);
+}
+
+TEST(Replay, ConsumeOnceTraceHasNoChunkCeiling)
+{
+    SynthWorkloadParams params = Runner::effectiveSynthParams(
+        workloads::byName("oltp", 1), RunConfig{});
+    ASSERT_EQ(params.threads.size(), 1u);
+    RecordedTrace trace(params, RecordedTrace::Retention::ConsumeOnce);
+    ReplaySource src(trace, 0);
+    const std::uint64_t n =
+        8193ull * RecordedTrace::consume_once_chunk_records;
+    src.skip(n);
+    src.next();
+    EXPECT_EQ(src.consumed(), n + 1);
+    EXPECT_LE(trace.heldChunks(0),
+              RecordedTrace::consume_once_lookahead_chunks + 1);
+}
+
+TEST(Replay, ConsumeOnceTraceHoldsOnlyTheLookahead)
+{
+    SynthWorkloadParams params = Runner::effectiveSynthParams(
+        workloads::byName("oltp"), RunConfig{});
+    RecordedTrace once(params, RecordedTrace::Retention::ConsumeOnce);
+    RecordedTrace kept(params);
+    std::vector<std::unique_ptr<ReplaySource>> a, b;
+    for (int c = 0; c < once.cores(); ++c) {
+        a.push_back(std::make_unique<ReplaySource>(once, c));
+        b.push_back(std::make_unique<ReplaySource>(kept, c));
+    }
+    // A long even drain: every core reads 200 consume-once chunks.
+    const std::size_t per_core =
+        200 * RecordedTrace::consume_once_chunk_records;
+    for (std::size_t i = 0; i < per_core; ++i)
+        for (int c = 0; c < once.cores(); ++c)
+            ASSERT_TRUE(sameRecord(a[c]->next(), b[c]->next()))
+                << "core " << c << " #" << i;
+    for (int c = 0; c < once.cores(); ++c) {
+        EXPECT_GE(once.heldChunks(c), 1u);
+        EXPECT_LE(once.heldChunks(c),
+                  RecordedTrace::consume_once_lookahead_chunks + 1)
+            << "core " << c;
+    }
+    // The trace that keeps its chunks still holds all of them.
+    EXPECT_GE(kept.heldChunks(0),
+              per_core / RecordedTrace::chunk_records);
 }
 
 TEST(Replay, TraceCacheSharesByParams)

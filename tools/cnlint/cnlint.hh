@@ -49,7 +49,8 @@
  *             no thread-safety annotation (CNSIM_GUARDED_BY /
  *             CNSIM_PT_GUARDED_BY / CNSIM_SYNC_NOTE)
  *   CNL-C002  raw std::thread outside the blessed owners
- *             (ParallelRunner, BinlogWriter)
+ *             (ParallelRunner, BinlogWriter, RecordedTrace's stream
+ *             producer)
  *   CNL-C003  unannotated mutable static (file- or function-local)
  *   CNL-T001  EventQueue callable capturing a stack local by
  *             reference (may run after the frame is gone)

@@ -921,10 +921,12 @@ ruleC001UnannotatedMember(const ProjectModel &pm, std::vector<Finding> &out)
 void
 ruleC002RawThread(const SourceFile &f, std::vector<Finding> &out)
 {
-    // The only blessed std::thread owners: the experiment fan-out and
-    // the binlog writer. Everything else routes through them.
+    // The only blessed std::thread owners: the experiment fan-out, the
+    // binlog writer and the reference-stream producer. Everything else
+    // routes through them.
     if (f.path.find("parallel_runner") != std::string::npos ||
-        f.path.find("binlog") != std::string::npos)
+        f.path.find("binlog") != std::string::npos ||
+        f.path.find("trace/replay.") != std::string::npos)
         return;
     const Tokens &ts = f.tokens;
     for (std::size_t i = 3; i < ts.size(); ++i) {
@@ -936,9 +938,9 @@ ruleC002RawThread(const SourceFile &f, std::vector<Finding> &out)
             continue;
         emit(f, out, ts[i], "CNL-C002",
              "raw std::thread outside the blessed owners "
-             "(ParallelRunner, BinlogWriter); route concurrency through "
-             "them so shutdown, affinity, and determinism stay in one "
-             "place");
+             "(ParallelRunner, BinlogWriter, RecordedTrace's producer); "
+             "route concurrency through them so shutdown, affinity, and "
+             "determinism stay in one place");
     }
 }
 
@@ -1124,7 +1126,9 @@ ruleCatalog()
          "thread-safety annotation",
          true},
         {"CNL-C002",
-         "raw std::thread outside ParallelRunner/BinlogWriter", true},
+         "raw std::thread outside ParallelRunner/BinlogWriter/"
+         "RecordedTrace",
+         true},
         {"CNL-C003", "unannotated mutable static", true},
         {"CNL-C004",
          "process-control call (fork/exec/waitpid)",
